@@ -347,11 +347,12 @@ def _cmd_density(args) -> dict:
     poly = normalize(coeffs)
     if not poly or poly[-1] != 1:
         raise InputError("--poly must be monic (last coefficient 1)")
-    bound = max(args.prime_bound, 100)
-    density = root_density(poly, bound)
+    if args.prime_bound < 100:
+        raise InputError(f"--prime-bound must be at least 100 for density, got {args.prime_bound}")
+    density = root_density(poly, args.prime_bound)
     return {
         "poly": poly_to_string(poly),
-        "prime_bound": bound,
+        "prime_bound": args.prime_bound,
         "density": density,
         "value": float(density),
     }
@@ -427,7 +428,8 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    if getattr(args, "seed", None) is not None:
+    saved_seed = factorint.DEFAULT_SEED
+    if args.seed is not None:
         factorint.DEFAULT_SEED = args.seed
     try:
         body = _COMMANDS[args.command](args)
@@ -441,6 +443,8 @@ def run_command(argv: list[str]) -> int:
             )
         )
         return 2
+    finally:
+        factorint.DEFAULT_SEED = saved_seed
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
     if args.human:
         print(_humanize(_encode(doc)))

@@ -9,15 +9,17 @@ seeded from the input.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numth import UnsupportedSizeError, divisors, is_prime, primes_up_to
+from .numth import UnsupportedSizeError, is_prime, primes_up_to, small_primes
 from .polyring import (
     IntPoly,
     ModPoly,
+    add,
     degree,
     derivative,
     discriminant,
@@ -28,13 +30,23 @@ from .polyring import (
     mul,
     normalize,
     squarefree_part,
+    sub,
+    zm_derivative,
+    zm_divmod,
+    zm_gcd,
+    zm_monic,
+    zm_mul,
+    zm_mulmod,
+    zm_pow_mod,
+    zm_reduce,
+    zm_rem,
 )
 
 MAX_DEGREE = 12
 MAX_COEFF = 10**6
 
 # Global override for the equal-degree-splitting seed; None keeps the
-# per-input derivation.  Set by the CLI's --seed flag.
+# per-input derivation.  The CLI's --seed flag sets it for one command.
 DEFAULT_SEED: int | None = None
 
 
@@ -70,90 +82,77 @@ def _sort_key(coeffs: tuple[int, ...]):
 
 
 # -- factorization over F_p --------------------------------------------------
+#
+# The _gf_* helpers work on kernel lists modulo a prime p that the caller
+# has already checked.
 
 
-def _gf_pth_root(f: ModPoly) -> ModPoly:
-    # in F_p[x], a polynomial with zero derivative is g(x^p); c^(1/p) = c
-    p = f.modulus
-    return ModPoly.make(list(f.coeffs[::p]), p)
-
-
-def _gf_squarefree_list(f: ModPoly) -> list[tuple[ModPoly, int]]:
+def _gf_squarefree_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Squarefree decomposition of monic f over F_p (Yun with p-th root descent)."""
-    p = f.modulus
-    out: list[tuple[ModPoly, int]] = []
+    out: list[tuple[list[int], int]] = []
     mult = 1
-    f = f.monic()
-    while f.deg > 0:
-        d = f.derivative()
-        if d.is_zero():
-            f = _gf_pth_root(f)
+    while len(f) > 1:
+        d = zm_derivative(f, p)
+        if not d:
+            # a polynomial with zero derivative is g(x^p), and c^(1/p) = c in F_p
+            f = f[::p]
             mult *= p
             continue
-        g = f.gcd(d)
-        w = f.divmod(g)[0]
+        g = zm_gcd(f, d, p)
+        w = zm_divmod(f, g, p)[0]
         i = 1
-        while w.deg > 0:
-            y = w.gcd(g)
-            z = w.divmod(y)[0]
-            if z.deg > 0:
-                out.append((z.monic(), i * mult))
+        while len(w) > 1:
+            y = zm_gcd(w, g, p)
+            z = zm_divmod(w, y, p)[0]
+            if len(z) > 1:
+                out.append((zm_monic(z, p), i * mult))
             w = y
-            g = g.divmod(y)[0]
+            g = zm_divmod(g, y, p)[0]
             i += 1
         f = g
     return out
 
 
-def _gf_distinct_degree(f: ModPoly) -> list[tuple[ModPoly, int]]:
+def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Split squarefree monic f into products of irreducibles of equal degree."""
-    p = f.modulus
     out = []
-    x = ModPoly.make([0, 1], p)
-    h = x
+    h = x = [0, 1]
     i = 1
-    rest = f
-    while rest.deg >= 2 * i:
-        h = h.pow_mod(p, rest)
-        g = rest.gcd(h.sub(x.rem(rest)))
-        if g.deg > 0:
+    while len(f) > 2 * i:
+        h = zm_pow_mod(h, p, f, p)
+        g = zm_gcd(f, sub(h, x), p)
+        if len(g) > 1:
             out.append((g, i))
-            rest = rest.divmod(g)[0]
-            h = h.rem(rest)
+            f = zm_divmod(f, g, p)[0]
+            h = zm_rem(h, f, p)
         i += 1
-    if rest.deg > 0:
-        out.append((rest, rest.deg))
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _gf_equal_degree(f: ModPoly, d: int, rng: random.Random) -> list[ModPoly]:
+def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus split of monic squarefree f, all factors of degree d."""
-    p = f.modulus
-    if f.deg == d:
-        return [f.monic()]
-    one = ModPoly.make([1], p)
+    if len(f) - 1 == d:
+        return [f]
     while True:
-        r = ModPoly.make([rng.randrange(p) for _ in range(f.deg)], p)
-        if r.deg < 1:
+        r = zm_reduce([rng.randrange(p) for _ in range(len(f) - 1)], p)
+        if len(r) < 2:
             continue
         if p == 2:
             # trace map r + r^2 + ... + r^(2^(d-1))
-            t = r
-            acc = r
+            t = acc = r
             for _ in range(d - 1):
-                t = t.mul(t).rem(f)
-                acc = acc.add(t)
-            g = f.gcd(acc)
+                t = zm_mulmod(t, t, f, p)
+                acc = add(acc, t)
+            g = zm_gcd(f, acc, p)
         else:
-            g = f.gcd(r)
-            if 0 < g.deg < f.deg:
-                pass
-            else:
-                s = r.pow_mod((p**d - 1) // 2, f)
-                g = f.gcd(s.sub(one))
-        if 0 < g.deg < f.deg:
-            h = f.divmod(g)[0]
-            return _gf_equal_degree(g, d, rng) + _gf_equal_degree(h, d, rng)
+            g = zm_gcd(f, r, p)
+            if not 1 < len(g) < len(f):
+                g = zm_gcd(f, sub(zm_pow_mod(r, (p**d - 1) // 2, f, p), [1]), p)
+        if 1 < len(g) < len(f):
+            h = zm_divmod(f, g, p)[0]
+            return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(h, d, p, rng)
 
 
 def factor_mod_p(f: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]]:
@@ -165,16 +164,19 @@ def factor_mod_p(f: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    p = f.modulus
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     if seed is None:
         seed = DEFAULT_SEED
     if seed is None:
-        seed = hash((f.modulus,) + f.coeffs) & 0x7FFFFFFF
+        seed = hash((p,) + f.coeffs) & 0x7FFFFFFF
     rng = random.Random(seed)
     out: list[tuple[ModPoly, int]] = []
-    for sqf, mult in _gf_squarefree_list(f.monic()):
-        for block, d in _gf_distinct_degree(sqf):
-            for irr in _gf_equal_degree(block, d, rng):
-                out.append((irr, mult))
+    for sqf, mult in _gf_squarefree_list(zm_monic(f.coeffs, p), p):
+        for block, d in _gf_distinct_degree(sqf, p):
+            for irr in _gf_equal_degree(block, d, p, rng):
+                out.append((ModPoly(p, tuple(irr)), mult))
     out.sort(key=lambda t: _sort_key(t[0].coeffs))
     return out
 
@@ -182,70 +184,26 @@ def factor_mod_p(f: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int
 # -- Hensel lifting ----------------------------------------------------------
 
 
-def _poly_mod(f: list[int], m: int) -> list[int]:
-    c = [a % m for a in f]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul_mod(f: list[int], g: list[int], m: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return _poly_mod(out, m)
-
-
-def _poly_divmod_monic_mod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
-    # g monic; works over Z/m for any m
-    r = list(f)
-    q = [0] * max(len(r) - len(g) + 1, 1)
-    while True:
-        r = _poly_mod(r, m)
-        if len(r) < len(g):
-            break
-        c = r[-1]
-        shift = len(r) - len(g)
-        q[shift] = (q[shift] + c) % m
-        for i, b in enumerate(g):
-            r[shift + i] = (r[shift + i] - c * b) % m
-    return _poly_mod(q, m), r
-
-
 def _hensel_pair(f: list[int], g: list[int], h: list[int], s: list[int], t: list[int], p: int, k: int):
     """Lift f = g*h (mod p) with s*g + t*h = 1 (mod p) to modulus p**k.
 
-    All of g, h monic; quadratic lifting.  Returns (g, h, s, t) mod p**k.
+    All of g, h monic; quadratic lifting.  Returns (g, h) mod p**k.
     """
+    pk = p**k
     m = p
-    while m < p**k:
-        m2 = min(m * m, p**k)
-        e = _poly_mod([a - b for a, b in zip_pad(f, _poly_mul_mod(g, h, m2))], m2)
-        q, r = _poly_divmod_monic_mod(_poly_mul_mod(s, e, m2), h, m2)
-        g = _poly_mod([a + b for a, b in zip_pad(g, add_lists(_poly_mul_mod(t, e, m2), _poly_mul_mod(q, g, m2)))], m2)
-        h = _poly_mod([a + b for a, b in zip_pad(h, r)], m2)
-        b = _poly_mod([a - c for a, c in zip_pad(add_lists(_poly_mul_mod(s, g, m2), _poly_mul_mod(t, h, m2)), [1])], m2)
-        c, d = _poly_divmod_monic_mod(_poly_mul_mod(s, b, m2), h, m2)
-        s = _poly_mod([a - bb for a, bb in zip_pad(s, d)], m2)
-        t = _poly_mod(
-            [a - bb for a, bb in zip_pad(t, add_lists(_poly_mul_mod(t, b, m2), _poly_mul_mod(c, g, m2)))], m2
-        )
-        m = m2
-    return g, h, s, t
-
-
-def zip_pad(f: list[int], g: list[int]):
-    n = max(len(f), len(g))
-    for i in range(n):
-        yield (f[i] if i < len(f) else 0), (g[i] if i < len(g) else 0)
-
-
-def add_lists(f: list[int], g: list[int]) -> list[int]:
-    return [a + b for a, b in zip_pad(f, g)]
+    while m < pk:
+        m = min(m * m, pk)
+        e = zm_reduce(sub(f, mul(g, h)), m)
+        q, r = zm_divmod(mul(s, e), h, m)
+        g = zm_reduce(add(g, add(mul(t, e), mul(q, g))), m)
+        h = zm_reduce(add(h, r), m)
+        if m == pk:
+            break
+        b = zm_reduce(sub(add(mul(s, g), mul(t, h)), [1]), m)
+        c, d = zm_divmod(mul(s, b), h, m)
+        s = zm_reduce(sub(s, d), m)
+        t = zm_reduce(sub(t, add(mul(t, b), mul(c, g))), m)
+    return g, h
 
 
 def hensel_lift(f: IntPoly, factors_mod_p: list[ModPoly], p: int, k: int) -> list[list[int]]:
@@ -255,54 +213,55 @@ def hensel_lift(f: IntPoly, factors_mod_p: list[ModPoly], p: int, k: int) -> lis
     Each returned factor is congruent to its seed mod p and their product
     is congruent to f mod p**k.
     """
-    seeds = [g.monic() for g in factors_mod_p]
-    prod = ModPoly.make([1], p)
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    if any(g.modulus != p for g in factors_mod_p):
+        raise ValueError("modulus mismatch")
+    seeds = [zm_monic(g.coeffs, p) for g in factors_mod_p]
+    prod = [1]
     for g in seeds:
-        prod = prod.mul(g)
-    if prod.coeffs != mod_reduce(f, p).monic().coeffs:
+        prod = zm_mul(prod, g, p)
+    if prod != zm_monic(zm_reduce(f, p), p):
         raise ValueError("seed product does not match the polynomial mod p")
     for i in range(len(seeds)):
         for j in range(i + 1, len(seeds)):
-            if seeds[i].gcd(seeds[j]).deg != 0:
+            if len(zm_gcd(seeds[i], seeds[j], p)) != 1:
                 raise ValueError("seed factors are not pairwise coprime mod p")
     if k < 1:
         raise ValueError("target exponent must be positive")
+    pk = p**k
 
-    def lift(target: list[int], parts: list[ModPoly]) -> list[list[int]]:
+    def lift(target: list[int], parts: list[list[int]]) -> list[list[int]]:
         if len(parts) == 1:
-            return [_poly_mod(target, p**k)]
+            return [zm_reduce(target, pk)]
         half = len(parts) // 2
-        g = ModPoly.make([1], p)
+        g = [1]
         for q in parts[:half]:
-            g = g.mul(q)
-        h = ModPoly.make([1], p)
+            g = zm_mul(g, q, p)
+        h = [1]
         for q in parts[half:]:
-            h = h.mul(q)
-        s, t = _gf_bezout(g, h)
-        gl, hl, _, _ = _hensel_pair(
-            _poly_mod(target, p**k), list(g.coeffs), list(h.coeffs), list(s.coeffs), list(t.coeffs), p, k
-        )
+            h = zm_mul(h, q, p)
+        s, t = _gf_bezout(g, h, p)
+        gl, hl = _hensel_pair(zm_reduce(target, pk), g, h, s, t, p, k)
         return lift(gl, parts[:half]) + lift(hl, parts[half:])
 
-    return lift(list(normalize(f)), seeds)
+    return lift(normalize(f), seeds)
 
 
-def _gf_bezout(g: ModPoly, h: ModPoly) -> tuple[ModPoly, ModPoly]:
+def _gf_bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
     """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
-    p = g.modulus
     r0, r1 = g, h
-    s0, s1 = ModPoly.make([1], p), ModPoly.make([], p)
-    t0, t1 = ModPoly.make([], p), ModPoly.make([1], p)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = zm_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, s0.sub(q.mul(s1))
-        t0, t1 = t1, t0.sub(q.mul(t1))
-    if r0.deg != 0:
+        s0, s1 = s1, zm_reduce(sub(s0, mul(q, s1)), p)
+        t0, t1 = t1, zm_reduce(sub(t0, mul(q, t1)), p)
+    if len(r0) != 1:
         raise ValueError("polynomials are not coprime mod p")
-    inv = pow(r0.coeffs[0], -1, p)
-    unit = ModPoly.make([inv], p)
-    return s0.mul(unit), t0.mul(unit)
+    inv = [pow(r0[0], -1, p)]
+    return zm_mul(s0, inv, p), zm_mul(t0, inv, p)
 
 
 # -- factorization over Z ----------------------------------------------------
@@ -335,16 +294,10 @@ def _squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
     return out
 
 
-_SMALL_PRIMES = primes_up_to(10_000).primes
-
-
 def _good_prime(f: IntPoly) -> int:
     fd = derivative(f)
-    for p in _SMALL_PRIMES:
-        fp = mod_reduce(f, p)
-        if fp.deg != degree(f):
-            continue
-        if fp.gcd(mod_reduce(fd, p)).deg == 0:
+    for p in small_primes(10_000):
+        if len(zm_gcd(f, fd, p)) == 1:
             return p
     raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
 
@@ -369,30 +322,22 @@ def _factor_squarefree_over_Z(f: IntPoly, seed: int | None) -> list[IntPoly]:
     rest = list(f)
     size = 1
     while 2 * size <= len(remaining):
-        found = False
-        for subset in _combinations(remaining, size):
+        for subset in itertools.combinations(remaining, size):
             cand = [1]
             for idx in subset:
-                cand = _poly_mul_mod(cand, lifted[idx], m)
+                cand = zm_mul(cand, lifted[idx], m)
             cand_z = normalize([_symmetric(c, m) for c in cand])
             dm = divmod_exact(rest, cand_z)
             if dm is not None and not dm[1]:
                 result.append(cand_z)
                 rest = dm[0]
                 remaining = [i for i in remaining if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
     if degree(rest) > 0:
         result.append(rest)
     return result
-
-
-def _combinations(items: list[int], size: int):
-    import itertools
-
-    return itertools.combinations(items, size)
 
 
 def factor_over_Z(f: IntPoly, seed: int | None = None) -> Factorization:
@@ -410,8 +355,10 @@ def factor_over_Z(f: IntPoly, seed: int | None = None) -> Factorization:
         raise UnsupportedSizeError(f"coefficient magnitude exceeds supported envelope {MAX_COEFF}")
     if degree(f) == 0:
         return Factorization((), 1)
+    # a nonzero discriminant means f is already squarefree
+    parts = [(f, 1)] if discriminant(f) else _squarefree_decomposition(f)
     factors: list[tuple[tuple[int, ...], int]] = []
-    for sqf, mult in _squarefree_decomposition(f):
+    for sqf, mult in parts:
         for irr in _factor_squarefree_over_Z(sqf, seed):
             factors.append((tuple(irr), mult))
     factors.sort(key=lambda t: _sort_key(t[0]))
@@ -430,11 +377,11 @@ def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
     witness up to the bound: inconclusive.
     """
     f = normalize(f)
-    if degree(gcd_monic(f, derivative(f))) > 0:
+    disc = discriminant(f)
+    if disc == 0:
         raise ValueError("irreducibility_witness requires a squarefree polynomial")
     if search_bound < 2:
         raise ValueError("search bound must be at least 2")
-    disc = discriminant(f)
     for p in primes_up_to(search_bound).primes:
         if disc % p == 0:
             continue
@@ -448,9 +395,9 @@ def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
 def degree_pattern(f: IntPoly, p: int) -> FactorPattern:
     """Degrees (with multiplicity) of the irreducible mod-p factors of f."""
     f = normalize(f)
-    if degree(gcd_monic(f, derivative(f))) > 0:
-        raise ValueError("degree_pattern requires a squarefree polynomial")
     disc = discriminant(f)
+    if disc == 0:
+        raise ValueError("degree_pattern requires a squarefree polynomial")
     fac = factor_mod_p(mod_reduce(f, p))
     pat = []
     for g, e in fac:
@@ -458,11 +405,10 @@ def degree_pattern(f: IntPoly, p: int) -> FactorPattern:
     return FactorPattern(prime=p, pattern=tuple(sorted(pat)), ramified=disc % p == 0)
 
 
-def _has_root_mod_p(f: ModPoly) -> bool:
-    p = f.modulus
-    x = ModPoly.make([0, 1], p)
-    frob = x.pow_mod(p, f)
-    return f.gcd(frob.sub(x.rem(f))).deg > 0
+def _has_root_mod_p(f: list[int], p: int) -> bool:
+    # f has a root in F_p iff gcd(f, x^p - x) is nontrivial
+    x = [0, 1]
+    return len(zm_gcd(f, sub(zm_pow_mod(x, p, f, p), x), p)) > 1
 
 
 def root_density(f: IntPoly, prime_bound: int) -> Fraction:
@@ -477,6 +423,6 @@ def root_density(f: IntPoly, prime_bound: int) -> Fraction:
         if disc % p == 0:
             continue
         total += 1
-        if _has_root_mod_p(mod_reduce(f, p)):
+        if _has_root_mod_p(zm_reduce(f, p), p):
             hits += 1
     return Fraction(hits, total)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -67,6 +68,12 @@ def _trial_primes(bound: int) -> tuple[int, ...]:
     if bound > _sieve.limit:
         _sieve = primes_up_to(max(bound, 2 * _sieve.limit))
     return _sieve.primes
+
+
+def small_primes(limit: int) -> tuple[int, ...]:
+    """Every prime <= limit, ascending, cut from the shared sieve."""
+    primes = _trial_primes(limit)
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 _TRIAL_LIMIT = 10**6

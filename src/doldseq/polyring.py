@@ -2,8 +2,10 @@
 
 Integer polynomials are plain lists of ints in ascending degree order
 (``[c0, c1, ..., cd]`` with ``cd != 0`` unless the polynomial is zero).
-Prime-field polynomials are wrapped in :class:`ModPoly`, which pins the
-modulus and keeps all residues reduced.
+Polynomials over Z/m use the same lists with the ``zm_*`` kernel, for
+any modulus m.  Prime-field polynomials are also wrapped in
+:class:`ModPoly`, which pins a modulus checked prime once, at
+``ModPoly.make`` or ``mod_reduce``, and keeps all residues reduced.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ IntPoly = list[int]
 # -- basic Z[x] arithmetic ---------------------------------------------------
 
 
-def normalize(f: list[int]) -> IntPoly:
-    """Strip trailing zero coefficients."""
-    f = list(f)
+def _trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def normalize(f: list[int]) -> IntPoly:
+    """Strip trailing zero coefficients."""
+    return _trim(list(f))
 
 
 def degree(f: IntPoly) -> int:
@@ -39,12 +44,19 @@ def is_monic(f: IntPoly) -> bool:
 
 
 def add(f: IntPoly, g: IntPoly) -> IntPoly:
-    n = max(len(f), len(g))
-    return normalize([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] += b
+    return _trim(out)
 
 
 def sub(f: IntPoly, g: IntPoly) -> IntPoly:
-    return add(f, [-c for c in g])
+    out = list(f) + [0] * (len(g) - len(f))
+    for i, b in enumerate(g):
+        out[i] -= b
+    return _trim(out)
 
 
 def mul(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -53,13 +65,9 @@ def mul(f: IntPoly, g: IntPoly) -> IntPoly:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return normalize(out)
-
-
-def scale(f: IntPoly, c: int) -> IntPoly:
-    return normalize([c * a for a in f])
+            for j, b in enumerate(g, i):
+                out[j] += a * b
+    return _trim(out)
 
 
 def evaluate(f: IntPoly, x: int) -> int:
@@ -257,12 +265,100 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
     return sums
 
 
+# -- dense Z/m kernel -------------------------------------------------------
+#
+# Ascending lists over Z/m for any modulus m: p for mod-p factoring, p**k
+# for Hensel lifting.  Inputs may be unreduced Z[x] results (``mul``,
+# ``add``); outputs are reduced once per coefficient and trimmed.  Divisors
+# need a unit leading coefficient.  Nothing here tests m for primality:
+# ModPoly.make, mod_reduce and hensel_lift do, where a modulus enters.
+
+
+def zm_reduce(f: list[int], m: int) -> list[int]:
+    return _trim([a % m for a in f])
+
+
+def zm_mul(f: list[int], g: list[int], m: int) -> list[int]:
+    return zm_reduce(mul(f, g), m)
+
+
+def _divide(r: list[int], g: list[int], m: int, q: list[int] | None) -> list[int]:
+    # Long division of r (overwritten) by g, quotient digits into q when given.
+    dg = len(g) - 1
+    if dg < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = 1 if g[-1] == 1 else pow(g[-1], -1, m)
+    low = g[:-1]
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r[k + dg] * inv % m
+        if c:
+            if q is not None:
+                q[k] = c
+            for j, b in enumerate(low, k):
+                r[j] -= c * b
+    return zm_reduce(r[:dg], m)
+
+
+def zm_divmod(f: list[int], g: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over Z/m; g trimmed with a unit leading coefficient."""
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    r = _divide(list(f), g, m, q)
+    return _trim(q), r
+
+
+def zm_rem(f: list[int], g: list[int], m: int) -> list[int]:
+    return _divide(list(f), g, m, None)
+
+
+def zm_mulmod(f: list[int], g: list[int], h: list[int], m: int) -> list[int]:
+    """f * g reduced modulo h over Z/m."""
+    return _divide(mul(f, g), h, m, None)
+
+
+def zm_pow_mod(f: list[int], e: int, h: list[int], m: int) -> list[int]:
+    """f**e mod h over Z/m, squaring left to right: multiplying by a short f such as x is cheap."""
+    if e == 0:
+        return [1]
+    base = zm_rem(f, h, m)
+    result = base
+    for bit in bin(e)[3:]:
+        result = zm_mulmod(result, result, h, m)
+        if bit == "1":
+            result = zm_mulmod(result, base, h, m)
+    return result
+
+
+def zm_monic(f: list[int], m: int) -> list[int]:
+    """f scaled to leading coefficient 1; f trimmed with a unit leading coefficient."""
+    if not f:
+        return []
+    inv = pow(f[-1], -1, m)
+    return [a * inv % m for a in f]
+
+
+def zm_gcd(f: list[int], g: list[int], m: int) -> list[int]:
+    """Monic gcd over Z/m, for m prime (every nonzero remainder must be unit-led)."""
+    a, b = zm_reduce(f, m), zm_reduce(g, m)
+    while b:
+        a, b = b, zm_rem(a, b, m)
+    return zm_monic(a, m)
+
+
+def zm_derivative(f: list[int], m: int) -> list[int]:
+    return zm_reduce(derivative(f), m)
+
+
 # -- prime-field polynomials -------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ModPoly:
-    """Dense polynomial over F_p; coefficients ascending, fully reduced."""
+    """Dense polynomial over F_p; coefficients ascending, fully reduced.
+
+    A thin wrapper over the Z/m kernel.  ``make`` is the validating
+    constructor; every method builds its result through it, so a
+    composite modulus is rejected however the object was made.
+    """
 
     modulus: int
     coeffs: tuple[int, ...]
@@ -271,10 +367,7 @@ class ModPoly:
     def make(coeffs: list[int], p: int) -> "ModPoly":
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        c = [a % p for a in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        return ModPoly(p, tuple(c))
+        return ModPoly(p, tuple(zm_reduce(coeffs, p)))
 
     @property
     def deg(self) -> int:
@@ -287,89 +380,47 @@ class ModPoly:
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
 
+    def _wrap(self, c: list[int]) -> "ModPoly":
+        return ModPoly.make(c, self.modulus)
+
     def add(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        p = self.modulus
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = [
-            ((self.coeffs[i] if i < len(self.coeffs) else 0) + (other.coeffs[i] if i < len(other.coeffs) else 0)) % p
-            for i in range(n)
-        ]
-        return ModPoly.make(c, p)
+        return self._wrap(add(self.coeffs, other.coeffs))
 
     def sub(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        return self.add(ModPoly.make([-a for a in other.coeffs], self.modulus))
+        return self._wrap(sub(self.coeffs, other.coeffs))
 
     def mul(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        p = self.modulus
-        if self.is_zero() or other.is_zero():
-            return ModPoly(p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ModPoly.make(out, p)
+        return self._wrap(mul(self.coeffs, other.coeffs))
 
     def divmod(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.modulus
-        inv = pow(other.coeffs[-1], -1, p)
-        r = list(self.coeffs)
-        q = [0] * max(len(r) - len(other.coeffs) + 1, 1)
-        while len(r) >= len(other.coeffs) and any(r):
-            while r and r[-1] % p == 0:
-                r.pop()
-            if len(r) < len(other.coeffs):
-                break
-            c = r[-1] * inv % p
-            shift = len(r) - len(other.coeffs)
-            q[shift] = c
-            for i, b in enumerate(other.coeffs):
-                r[shift + i] = (r[shift + i] - c * b) % p
-        return ModPoly.make(q, p), ModPoly.make(r, p)
+        q, r = zm_divmod(self.coeffs, other.coeffs, self.modulus)
+        return self._wrap(q), self._wrap(r)
 
     def rem(self, other: "ModPoly") -> "ModPoly":
-        return self.divmod(other)[1]
+        self._check(other)
+        return self._wrap(zm_rem(self.coeffs, other.coeffs, self.modulus))
 
     def monic(self) -> "ModPoly":
-        if self.is_zero():
-            return self
-        inv = pow(self.coeffs[-1], -1, self.modulus)
-        return ModPoly.make([a * inv for a in self.coeffs], self.modulus)
+        return self._wrap(zm_monic(self.coeffs, self.modulus))
 
     def gcd(self, other: "ModPoly") -> "ModPoly":
         self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.rem(b)
-        return a.monic()
+        return self._wrap(zm_gcd(self.coeffs, other.coeffs, self.modulus))
 
     def pow_mod(self, exponent: int, modpoly: "ModPoly") -> "ModPoly":
         """self**exponent reduced modulo modpoly, by repeated squaring."""
         self._check(modpoly)
-        result = ModPoly.make([1], self.modulus)
-        base = self.rem(modpoly)
-        e = exponent
-        while e:
-            if e & 1:
-                result = result.mul(base).rem(modpoly)
-            base = base.mul(base).rem(modpoly)
-            e >>= 1
-        return result
+        return self._wrap(zm_pow_mod(self.coeffs, exponent, modpoly.coeffs, self.modulus))
 
     def derivative(self) -> "ModPoly":
-        return ModPoly.make([i * c for i, c in enumerate(self.coeffs)][1:], self.modulus)
+        return self._wrap(derivative(self.coeffs))
 
     def evaluate(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = (out * x + c) % self.modulus
-        return out
+        return evaluate(self.coeffs, x) % self.modulus
 
 
 def mod_reduce(f: IntPoly, p: int) -> ModPoly:

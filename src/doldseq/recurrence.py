@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .factorint import factor_over_Z, irreducibility_witness
-from .polyring import IntPoly, degree, derivative, gcd_monic, normalize, power_sums
+from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
 
@@ -228,7 +228,7 @@ def convenient_check(spec: RecurrenceSpec, prime_bound: int):
     polynomial can never qualify.
     """
     cpoly = char_poly(spec)
-    if degree(gcd_monic(cpoly, derivative(cpoly))) > 0:
+    if discriminant(cpoly) == 0:
         return ("not-convenient", None)
     witness = irreducibility_witness(cpoly, prime_bound)
     if witness is None:

@@ -6,6 +6,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from doldseq import factorint
 from doldseq.cli import InputError, dumps_report, loads_report, parse_bfile
 
 HERE = pathlib.Path(__file__).parent
@@ -155,6 +156,15 @@ def test_seed_flag_accepted(run_cli):
     assert loads_report(out)["row"] == "irreducible"
 
 
+def test_seed_flag_does_not_outlive_the_command(run_cli):
+    code, _ = run_cli(["classify", "--seed", "7", "--coeffs", "0,10,0,-1", "--initial", "0,5,0,49"])
+    assert code == 0
+    assert factorint.DEFAULT_SEED is None
+    code, _ = run_cli(["classify", "--seed", "7"])  # input error: no recurrence given
+    assert code == 1
+    assert factorint.DEFAULT_SEED is None
+
+
 # -- remaining subcommands ---------------------------------------------------
 
 
@@ -190,6 +200,16 @@ def test_density_subcommand(run_cli):
     validate(out)
     code, _ = run_cli(["density", "--poly", "1,0,2"])
     assert code == 1
+
+
+def test_density_prime_bound_below_100_is_an_input_error(run_cli):
+    code, out = run_cli(["density", "--poly", "1,0,1", "--prime-bound", "99"])
+    assert code == 1
+    assert "--prime-bound must be at least 100" in json.loads(out)["error"]
+    validate(out)
+    code, out = run_cli(["density", "--poly", "1,0,1", "--prime-bound", "100"])
+    assert code == 0
+    assert loads_report(out)["prime_bound"] == 100
 
 
 def test_bfile_check_powers_of_two(run_cli, tmp_path):

@@ -292,3 +292,21 @@ def test_root_density_linear_and_bounds():
     assert root_density([5, 2, 1], 200) < 0.95
     with pytest.raises(ValueError):
         root_density([1, 1], 50)
+
+
+def test_squarefree_fast_path_agrees_with_yun():
+    # a nonzero discriminant stands in for gcd(f, f') = 1 in factor_over_Z,
+    # irreducibility_witness and degree_pattern; Yun's split is the reference
+    from doldseq.factorint import _squarefree_decomposition
+    from doldseq.polyring import degree, derivative, gcd_monic
+
+    rng = random.Random(97)
+    for _ in range(200):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            g = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 3))] + [1]
+            f = mul(f, mul(g, g) if rng.random() < 0.3 else g)
+        squarefree = degree(gcd_monic(f, derivative(f))) == 0
+        assert (discriminant(f) != 0) == squarefree
+        if squarefree:
+            assert _squarefree_decomposition(f) == [(f, 1)]

@@ -2,6 +2,7 @@
 
 from .dold import (
     ClassificationRow,
+    DoldScan,
     DoldViolation,
     FailReport,
     PowerBound,
@@ -10,9 +11,11 @@ from .dold import (
     empirical_fail_lower,
     fail_report,
     mobius_sum,
+    mobius_sums,
     power_fail_bound,
     prime_power_check,
     raw_report,
+    scan,
     sign_violations,
     table_bounds,
 )
@@ -26,7 +29,7 @@ from .factorint import (
     irreducibility_witness,
     root_density,
 )
-from .numth import PrimeSieve, legendre, mobius, p_valuation, primes_up_to, radical_int
+from .numth import PrimeSieve, legendre, mobius, mobius_table, p_valuation, primes_up_to, radical_int
 from .polyring import ModPoly, discriminant, mod_reduce, power_sums, resultant, squarefree_part
 from .recurrence import (
     RecurrenceSpec,
@@ -42,7 +45,6 @@ from .recurrence import (
     sequence_view,
     square_disc_family,
     structure_test,
-    term,
     trace_sequence,
 )
 

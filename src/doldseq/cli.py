@@ -68,20 +68,19 @@ def parse_bfile(text: str) -> BFile:
 
 def _encode(obj):
     """Recursively convert a result object to JSON-safe data; ints become decimal strings."""
-    if isinstance(obj, bool):
+    # Cheapest and most frequent types first; bool before int, since bool is an int.
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if isinstance(obj, float):
-        return obj
-    if dataclasses.is_dataclass(obj):
-        return {k: _encode(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_encode(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
+    if dataclasses.is_dataclass(obj):
+        return {k: _encode(v) for k, v in dataclasses.asdict(obj).items()}
     return obj
 
 
@@ -256,12 +255,12 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_check(args) -> dict:
     spec = _load_spec(args)
-    view = _view(args, spec)
+    result = dold.scan(_view(args, spec), args.horizon)
     return {
         "input": _echo(spec),
         "horizon": args.horizon,
-        "dold_violations": _violations_doc(dold.dold_violations(view, args.horizon)),
-        "sign_violations": dold.sign_violations(view, args.horizon),
+        "dold_violations": _violations_doc(result.violations),
+        "sign_violations": result.sign_violations,
     }
 
 
@@ -278,19 +277,20 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_power(args) -> dict:
+    if args.t < 1:
+        raise InputError(f"--t must be at least 1, got {args.t}")
     spec = _load_spec(args)
-    base = _view(args, spec)
-    sub_view = recurrence.power_subsequence(base, args.t)
+    sub_view = recurrence.power_subsequence(_view(args, spec), args.t)
     verdict = recurrence.structure_test(spec)
-    violations = dold.dold_violations(sub_view, args.horizon)
-    lower = dold.empirical_fail_lower(sub_view, args.horizon)
+    result = dold.scan(sub_view, args.horizon)
+    lower = result.empirical_lower
     doc: dict = {
         "input": _echo(spec),
         "t": args.t,
         "horizon": args.horizon,
         "row": "power-subsequence",
         "base_structure": _structure_doc(verdict),
-        "dold_violations": _violations_doc(violations),
+        "dold_violations": _violations_doc(result.violations),
         "empirical_lower": lower,
     }
     try:
@@ -380,8 +380,7 @@ def _cmd_bfile(args) -> dict:
         terms.append(value)
         expected += 1
     horizon = min(args.horizon, len(terms))
-    view = recurrence.raw_view(terms, max_bits=args.max_bits)
-    report = dold.raw_report(view, horizon)
+    report = dold.raw_report(recurrence.raw_view(terms, max_bits=args.max_bits), horizon)
     return {
         "entries": len(bfile.entries),
         "contiguous": bfile.contiguous,
@@ -391,7 +390,7 @@ def _cmd_bfile(args) -> dict:
         "verdict": report.verdict,
         "empirical_lower": report.empirical_lower,
         "dold_violations": _violations_doc(report.violations),
-        "sign_violations": dold.sign_violations(view, horizon),
+        "sign_violations": report.sign_violations,
     }
 
 
@@ -432,6 +431,8 @@ def run_command(argv: list[str]) -> int:
     if args.seed is not None:
         factorint.DEFAULT_SEED = args.seed
     try:
+        if args.horizon < 1:
+            raise InputError(f"--horizon must be at least 1, got {args.horizon}")
         body = _COMMANDS[args.command](args)
     except InputError as exc:
         print(dumps_report({"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}))

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, radical_int
+from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, radical_int
 from .polyring import IntPoly, degree, discriminant, squarefree_part
 from .recurrence import (
     RecurrenceSpec,
@@ -59,29 +60,70 @@ class FailReport:
     structure: StructureVerdict | None = None
     classification: ClassificationRow | None = None
     violations: tuple[DoldViolation, ...] = ()
+    sign_violations: tuple[int, ...] = ()  # indices n with S_n < 0
     per_prime: tuple[tuple[int, int, int], ...] = ()  # (p, min exponent, max exponent)
 
 
 def mobius_sum(view: SequenceView, n: int) -> int:
-    """S_n = sum over d | n of mu(n/d) * A_d."""
+    """S_n = sum over d | n of mu(n/d) * A_d, for a single index."""
     if n < 1:
         raise ValueError("indices start at 1")
     return sum(mobius(n // d) * view.term(d) for d in divisors(n))
 
 
+def mobius_sums(view: SequenceView, horizon: int) -> list[int]:
+    """[S_1, ..., S_horizon] by one Dirichlet-convolution pass.
+
+    Reads each term A_1..A_horizon once, then adds mu(m) * A_d into
+    S_{m*d} for every squarefree m <= horizon: about (6/pi^2) N ln N
+    big-int additions and no factoring.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    terms = [view.term(d) for d in range(1, horizon + 1)]
+    mu = mobius_table(horizon)
+    sums = [0] * (horizon + 1)
+    for m, sign in enumerate(mu):
+        if not sign:
+            continue
+        multiples = range(m, horizon + 1, m)
+        if sign > 0:
+            for k, a in zip(multiples, terms):
+                sums[k] += a
+        else:
+            for k, a in zip(multiples, terms):
+                sums[k] -= a
+    return sums[1:]
+
+
+class DoldScan(NamedTuple):
+    """Dold and sign results of one pass over S_1..S_horizon.
+
+    A NamedTuple, not a frozen dataclass: it is as immutable and about
+    ten times cheaper to create at import.
+    """
+
+    violations: tuple[DoldViolation, ...]
+    sign_violations: tuple[int, ...]  # indices n with S_n < 0
+    empirical_lower: int  # lcm of the deficiencies; divides the fail factor
+
+
+def scan(view: SequenceView, horizon: int) -> DoldScan:
+    """Dold violations, sign violations and the empirical lower bound up to horizon."""
+    sums = mobius_sums(view, horizon)
+    violations = tuple(DoldViolation(n, s, n // math.gcd(n, s)) for n, s in enumerate(sums, start=1) if s % n)
+    negative = tuple(n for n, s in enumerate(sums, start=1) if s < 0)
+    return DoldScan(violations, negative, lcm_list([v.deficiency for v in violations]))
+
+
 def dold_violations(view: SequenceView, horizon: int) -> list[DoldViolation]:
     """All indices n <= horizon where n does not divide S_n."""
-    out = []
-    for n in range(1, horizon + 1):
-        s = mobius_sum(view, n)
-        if s % n:
-            out.append(DoldViolation(n, s, n // math.gcd(n, s)))
-    return out
+    return list(scan(view, horizon).violations)
 
 
 def sign_violations(view: SequenceView, horizon: int) -> list[int]:
     """All indices n <= horizon with a negative Mobius sum."""
-    return [n for n in range(1, horizon + 1) if mobius_sum(view, n) < 0]
+    return list(scan(view, horizon).sign_violations)
 
 
 def prime_power_check(view: SequenceView, p: int, k: int, s: int) -> bool:
@@ -93,7 +135,7 @@ def prime_power_check(view: SequenceView, p: int, k: int, s: int) -> bool:
 
 def empirical_fail_lower(view: SequenceView, horizon: int) -> int:
     """lcm of deficiencies over n <= horizon; divides the fail factor."""
-    return lcm_list([v.deficiency for v in dold_violations(view, horizon)])
+    return scan(view, horizon).empirical_lower
 
 
 # -- classification and theoretical bounds -----------------------------------
@@ -197,22 +239,23 @@ def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: 
     view = sequence_view(spec, **kwargs)
     verdict = structure_test(spec)
     classification = classify(spec)
-    violations = dold_violations(view, horizon)
-    lower = lcm_list([v.deficiency for v in violations])
+    result = scan(view, horizon)
     if not verdict.almost:
         return FailReport(
             verdict="not-almost-dold",
             horizon=horizon,
-            empirical_lower=lower,
+            empirical_lower=result.empirical_lower,
             upper_bounds=(),
             exact=None,
             infinite=True,
             structure=verdict,
             classification=classification,
-            violations=tuple(violations),
+            violations=result.violations,
+            sign_violations=result.sign_violations,
         )
     bounds = table_bounds(spec, verdict, classification)
     minimum = min(b for _, b in bounds)
+    lower = result.empirical_lower
     exact = lower if lower == minimum else None
     return FailReport(
         verdict="almost-dold",
@@ -223,23 +266,24 @@ def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: 
         infinite=False,
         structure=verdict,
         classification=classification,
-        violations=tuple(violations),
+        violations=result.violations,
+        sign_violations=result.sign_violations,
         per_prime=_per_prime_resolution(lower, bounds),
     )
 
 
 def raw_report(view: SequenceView, horizon: int) -> FailReport:
     """Empirical-only report for an ingested sequence (no structure claims)."""
-    violations = dold_violations(view, horizon)
-    lower = lcm_list([v.deficiency for v in violations])
+    result = scan(view, horizon)
     return FailReport(
         verdict="unknown",
         horizon=horizon,
-        empirical_lower=lower,
+        empirical_lower=result.empirical_lower,
         upper_bounds=(),
         exact=None,
         infinite=False,
-        violations=tuple(violations),
+        violations=result.violations,
+        sign_violations=result.sign_violations,
     )
 
 

@@ -96,11 +96,6 @@ class SequenceView:
             self._cache.append(value)
         return self._cache[n - 1]
 
-    @property
-    def length(self) -> int | None:
-        """Known horizon for raw views; None for unbounded sources."""
-        return len(self.raw) if self.raw is not None else None
-
 
 def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
     return SequenceView(spec=spec, max_bits=max_bits)
@@ -108,10 +103,6 @@ def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> Seq
 
 def raw_view(terms: list[int], max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
     return SequenceView(raw=terms, max_bits=max_bits)
-
-
-def term(view: SequenceView, n: int) -> int:
-    return view.term(n)
 
 
 def power_subsequence(view: SequenceView, t: int) -> SequenceView:

@@ -1,5 +1,6 @@
 """Command-line interface: b-file parsing, report format, exit codes, goldens."""
 
+import collections
 import json
 import pathlib
 
@@ -8,6 +9,7 @@ import pytest
 
 from doldseq import factorint
 from doldseq.cli import InputError, dumps_report, loads_report, parse_bfile
+from doldseq.recurrence import SequenceView
 
 HERE = pathlib.Path(__file__).parent
 SCHEMA = json.loads((HERE.parent / "docs" / "report.schema.json").read_text())
@@ -124,6 +126,66 @@ def test_exit_code_two_on_guard(run_cli):
     doc = loads_report(out)
     assert doc.get("guard") is True
     validate(out)
+
+
+def test_check_guard_document_unchanged(run_cli):
+    code, out = run_cli(["check", "--coeffs", "10", "--initial", "1", "--horizon", "100", "--max-bits", "64"])
+    assert code == 2
+    assert out == (
+        '{\n  "schema_version": "1",\n  "command": "check",\n'
+        '  "error": "term 21 needs 67 bits (budget 64)",\n  "guard": true\n}\n'
+    )
+    validate(out)
+
+
+# A valid invocation of every subcommand; --horizon is appended by the test.
+SUBCOMMAND_ARGV = {
+    "gen": ["gen", "--coeffs", "1,1", "--initial", "1,1"],
+    "check": ["check", "--coeffs", "1,1", "--initial", "1,1"],
+    "fail": ["fail", "--coeffs", "1,1", "--initial", "1,1"],
+    "classify": ["classify", "--coeffs", "1,1", "--initial", "1,1"],
+    "power": ["power", "--t", "2", "--coeffs", "1,1", "--initial", "1,1"],
+    "family": ["family", "--delta", "3"],
+    "witness": ["witness", "--coeffs", "1,1", "--initial", "1,1"],
+    "density": ["density", "--poly", "1,0,1", "--prime-bound", "100"],
+    "bfile-check": ["bfile-check", "BFILE"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_nonpositive_horizon_is_an_input_error(run_cli, tmp_path, command):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 1\n2 3\n3 4\n")
+    argv = [str(bfile) if a == "BFILE" else a for a in SUBCOMMAND_ARGV[command]]
+    code, _ = run_cli([*argv, "--horizon", "2"])
+    assert code == 0
+    for horizon in ("0", "-5"):
+        code, out = run_cli([*argv, "--horizon", horizon])
+        assert code == 1, (command, horizon)
+        assert json.loads(out)["error"] == f"--horizon must be at least 1, got {horizon}"
+        validate(out)
+
+
+def test_power_nonpositive_exponent_is_an_input_error(run_cli):
+    for t in ("0", "-2"):
+        code, out = run_cli(["power", "--t", t, "--coeffs", "1,1", "--initial", "1,1", "--horizon", "5"])
+        assert code == 1
+        assert json.loads(out)["error"] == f"--t must be at least 1, got {t}"
+        validate(out)
+
+
+def test_check_reads_each_term_once(run_cli, monkeypatch):
+    calls = collections.Counter()
+    original = SequenceView.term
+
+    def counting_term(self, n):
+        calls[n] += 1
+        return original(self, n)
+
+    monkeypatch.setattr(SequenceView, "term", counting_term)
+    code, _ = run_cli(["check", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "300"])
+    assert code == 0
+    assert calls == collections.Counter(range(1, 301))
 
 
 # -- flags and input channels ------------------------------------------------

@@ -1,5 +1,8 @@
 """Dold/sign scans, fail-factor bounds, classification, and reports."""
 
+import math
+import random
+
 import pytest
 
 from doldseq.dold import (
@@ -8,9 +11,11 @@ from doldseq.dold import (
     empirical_fail_lower,
     fail_report,
     mobius_sum,
+    mobius_sums,
     power_fail_bound,
     prime_power_check,
     raw_report,
+    scan,
     sign_violations,
     table_bounds,
 )
@@ -31,6 +36,39 @@ def test_mobius_sum_examples(fibonacci, example_seq):
     assert mobius_sum(const, 6) == 0
     with pytest.raises(ValueError):
         mobius_sum(const, 0)
+
+
+def _seeded_views(seed):
+    """Recurrence, raw and power-subsequence views of order 1-3, with a horizon each (N <= 300)."""
+    rng = random.Random(seed)
+    for order in (1, 2, 3):
+        coeffs = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        initial = [rng.randint(-9, 9) for _ in range(order)]
+        spec = make_recurrence(coeffs, initial)
+        yield sequence_view(spec), 300
+        yield raw_view([sequence_view(spec).term(n) for n in range(1, 301)]), 300
+        yield power_subsequence(sequence_view(spec), 2), 40
+        yield power_subsequence(sequence_view(spec), 3), 12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scan_matches_per_index_mobius_sum(seed):
+    for view, horizon in _seeded_views(seed):
+        reference = [mobius_sum(view, n) for n in range(1, horizon + 1)]
+        assert mobius_sums(view, horizon) == reference
+        result = scan(view, horizon)
+        expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(reference, start=1) if s % n]
+        assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
+        assert list(result.sign_violations) == [n for n, s in enumerate(reference, start=1) if s < 0]
+        assert result.empirical_lower == math.lcm(1, *(d for _, _, d in expected))
+
+
+def test_scan_horizon_edges():
+    view = raw_view([1, 2, 3])
+    assert mobius_sums(view, 0) == []
+    assert scan(view, 0).violations == () and scan(view, 0).empirical_lower == 1
+    with pytest.raises(ValueError):
+        mobius_sums(view, -1)
 
 
 def test_dold_violations_examples(lucas, example_seq, fibonacci):

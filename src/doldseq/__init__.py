@@ -32,10 +32,12 @@ from .factorint import (
 from .numth import PrimeSieve, legendre, mobius, mobius_table, p_valuation, primes_up_to, radical_int
 from .polyring import ModPoly, discriminant, mod_reduce, power_sums, resultant, squarefree_part
 from .recurrence import (
+    Analysis,
     RecurrenceSpec,
     SequenceView,
     StructureVerdict,
     TraceSequence,
+    analyze,
     char_poly,
     convenient_check,
     make_recurrence,

@@ -72,7 +72,13 @@ def _encode(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # over the interpreter's int-to-str digit limit, which is left as set
+            limit = sys.get_int_max_str_digits()
+            raise UnsupportedSizeError(
+                f"report holds a {obj.bit_length()}-bit integer, over the {limit}-digit limit for decimal output"
+            ) from None
     if isinstance(obj, dict):
         return {str(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -266,13 +272,13 @@ def _cmd_check(args) -> dict:
 
 def _cmd_fail(args) -> dict:
     spec = _load_spec(args)
-    report = dold.fail_report(spec, horizon=args.horizon, max_bits=args.max_bits)
+    report = dold.fail_report(spec, horizon=args.horizon, max_bits=args.max_bits, prime_bound=args.prime_bound)
     return {"input": _echo(spec), **_fail_doc(report)}
 
 
 def _cmd_classify(args) -> dict:
     spec = _load_spec(args)
-    row = dold.classify(spec, prime_bound=args.prime_bound)
+    row = dold.classify(recurrence.analyze(spec), prime_bound=args.prime_bound)
     return {"input": _echo(spec), "row": row.row_id, "condition": row.condition, "details": row.details}
 
 
@@ -280,8 +286,9 @@ def _cmd_power(args) -> dict:
     if args.t < 1:
         raise InputError(f"--t must be at least 1, got {args.t}")
     spec = _load_spec(args)
+    analysis = recurrence.analyze(spec)
     sub_view = recurrence.power_subsequence(_view(args, spec), args.t)
-    verdict = recurrence.structure_test(spec)
+    verdict = recurrence.structure_test(analysis)
     result = dold.scan(sub_view, args.horizon)
     lower = result.empirical_lower
     doc: dict = {
@@ -294,7 +301,7 @@ def _cmd_power(args) -> dict:
         "empirical_lower": lower,
     }
     try:
-        bound = dold.power_fail_bound(spec, args.t)
+        bound = dold.power_fail_bound(analysis, args.t)
     except ValueError as exc:
         doc["bound"] = None
         doc["bound_note"] = str(exc)
@@ -309,9 +316,9 @@ def _cmd_power(args) -> dict:
         "degree_multiple": bound.degree_multiple,
         "heuristic": bound.heuristic,
     }
-    if lower == bound.radical or lower == bound.bound:
+    if not bound.heuristic and lower == bound.bound:
         doc["fail"] = lower
-        doc["exactness_source"] = "empirical lower bound meets the splitting-field radical multiplier"
+        doc["exactness_source"] = "empirical lower bound meets the proven power-subsequence bound"
     else:
         doc["fail"] = None
     return doc
@@ -322,7 +329,7 @@ def _cmd_family(args) -> dict:
         spec = recurrence.square_disc_family(args.delta)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    report = dold.fail_report(spec, horizon=min(args.horizon, 50), max_bits=args.max_bits)
+    report = dold.fail_report(spec, horizon=args.horizon, max_bits=args.max_bits)
     return {
         "delta": args.delta,
         "coeffs": list(spec.coefficients),
@@ -333,7 +340,7 @@ def _cmd_family(args) -> dict:
 
 def _cmd_witness(args) -> dict:
     spec = _load_spec(args)
-    status, payload = recurrence.convenient_check(spec, args.prime_bound)
+    status, payload = recurrence.convenient_check(recurrence.analyze(spec), args.prime_bound)
     doc = {"input": _echo(spec), "status": status}
     if status == "certified":
         doc["witness"] = payload
@@ -433,7 +440,10 @@ def run_command(argv: list[str]) -> int:
     try:
         if args.horizon < 1:
             raise InputError(f"--horizon must be at least 1, got {args.horizon}")
-        body = _COMMANDS[args.command](args)
+        if args.prime_bound < 2 and args.command in ("fail", "classify", "witness"):
+            raise InputError(f"--prime-bound must be at least 2, got {args.prime_bound}")
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **_COMMANDS[args.command](args)}
+        text = _humanize(_encode(doc)) if args.human else dumps_report(doc)
     except InputError as exc:
         print(dumps_report({"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}))
         return 1
@@ -446,11 +456,7 @@ def run_command(argv: list[str]) -> int:
         return 2
     finally:
         factorint.DEFAULT_SEED = saved_seed
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
-    if args.human:
-        print(_humanize(_encode(doc)))
-    else:
-        print(dumps_report(doc))
+    print(text)
     return 0
 
 

@@ -12,17 +12,20 @@ of fail come from the structure of the characteristic polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, radical_int
-from .polyring import IntPoly, degree, discriminant, squarefree_part
+from .factorint import factor_mod_p
+from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, primes_up_to, radical_int
+from .polyring import IntPoly, degree, discriminant, mod_reduce, mul
 from .recurrence import (
+    Analysis,
     RecurrenceSpec,
     SequenceView,
     StructureVerdict,
-    char_poly,
+    analyze,
     convenient_check,
     sequence_view,
     structure_test,
@@ -145,11 +148,10 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def classify(spec: RecurrenceSpec, prime_bound: int = 300) -> ClassificationRow:
+def classify(analysis: Analysis, prime_bound: int = 300) -> ClassificationRow:
     """Assign the most specific case-table row to the recurrence."""
-    d = spec.order
-    cpoly = char_poly(spec)
-    disc = discriminant(cpoly)
+    d = analysis.spec.order
+    disc = analysis.disc
     details: dict = {"order": d, "discriminant": disc}
     if d == 1:
         return ClassificationRow("order-1", "always almost satisfies", details)
@@ -161,14 +163,12 @@ def classify(spec: RecurrenceSpec, prime_bound: int = 300) -> ClassificationRow:
         return ClassificationRow(
             "order-2-irreducible", "non-square discriminant; almost iff both root coefficients equal", details
         )
-    status, payload = convenient_check(spec, prime_bound)
+    status, payload = convenient_check(analysis, prime_bound)
     details["convenient"] = status
     if status == "certified":
         details["witness"] = payload
         return ClassificationRow("convenient", "almost iff all root coefficients equal", details)
-    from .factorint import factor_over_Z
-
-    if factor_over_Z(cpoly).is_irreducible():
+    if analysis.factorization.is_irreducible():
         return ClassificationRow("irreducible", "almost iff all root coefficients equal", details)
     if disc != 0:
         return ClassificationRow(
@@ -177,9 +177,7 @@ def classify(spec: RecurrenceSpec, prime_bound: int = 300) -> ClassificationRow:
     return ClassificationRow("any", "almost iff constant coefficients on each distinct factor", details)
 
 
-def table_bounds(
-    spec: RecurrenceSpec, verdict: StructureVerdict, classification: ClassificationRow
-) -> list[tuple[str, int]]:
+def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[str, int]]:
     """Every applicable theoretical multiple of the fail factor, labeled.
 
     Only meaningful when the structure verdict is positive (the bounds are
@@ -188,10 +186,9 @@ def table_bounds(
     """
     if not verdict.almost:
         return []
-    d = spec.order
-    r = spec.coefficients
-    cpoly = char_poly(spec)
-    disc = discriminant(cpoly)
+    d = analysis.spec.order
+    r = analysis.spec.coefficients
+    disc = analysis.disc
     bounds: list[tuple[str, int]] = []
     if d == 1:
         bounds.append(("order-1", abs(r[0])))
@@ -208,8 +205,9 @@ def table_bounds(
             bounds.append(("order-2-scaled", 2 * abs(r[1]) * radical_int(abs(disc))))
     if disc != 0:
         bounds.append(("discriminant", abs(r[d - 1] * disc)))
-    sf = squarefree_part(cpoly)
-    bounds.append(("squarefree-discriminant", abs(r[d - 1] * discriminant(sf))))
+    # with a nonzero discriminant the polynomial is its own squarefree part
+    sf_disc = disc or discriminant(functools.reduce(mul, (list(f) for f, _ in analysis.factorization.factors)))
+    bounds.append(("squarefree-discriminant", abs(r[d - 1] * sf_disc)))
     bounds.append(("denominator", lcm_list([l.denominator for _, l in verdict.coefficients])))
     return bounds
 
@@ -226,44 +224,32 @@ def _per_prime_resolution(lower: int, bounds: list[tuple[str, int]]) -> tuple[tu
     return tuple(out)
 
 
-def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int | None = None) -> FailReport:
+def fail_report(
+    spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int | None = None, prime_bound: int = 300
+) -> FailReport:
     """Full analysis of a recurrence-backed sequence.
 
-    Runs the structure test, classification, theoretical bounds and the
-    empirical scan; declares the fail factor exact only when the
-    empirical lower bound meets a proof-backed upper bound.
+    Runs the structure test, classification (searching witness primes up
+    to prime_bound), theoretical bounds and the empirical scan; declares
+    the fail factor exact only when the empirical lower bound meets a
+    proof-backed upper bound.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
     kwargs = {} if max_bits is None else {"max_bits": max_bits}
-    view = sequence_view(spec, **kwargs)
-    verdict = structure_test(spec)
-    classification = classify(spec)
-    result = scan(view, horizon)
-    if not verdict.almost:
-        return FailReport(
-            verdict="not-almost-dold",
-            horizon=horizon,
-            empirical_lower=result.empirical_lower,
-            upper_bounds=(),
-            exact=None,
-            infinite=True,
-            structure=verdict,
-            classification=classification,
-            violations=result.violations,
-            sign_violations=result.sign_violations,
-        )
-    bounds = table_bounds(spec, verdict, classification)
-    minimum = min(b for _, b in bounds)
+    analysis = analyze(spec)
+    verdict = structure_test(analysis)
+    classification = classify(analysis, prime_bound)
+    result = scan(sequence_view(spec, **kwargs), horizon)
+    bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
-    exact = lower if lower == minimum else None
     return FailReport(
-        verdict="almost-dold",
+        verdict="almost-dold" if verdict.almost else "not-almost-dold",
         horizon=horizon,
         empirical_lower=lower,
         upper_bounds=tuple(bounds),
-        exact=exact,
-        infinite=False,
+        exact=lower if bounds and lower == min(b for _, b in bounds) else None,
+        infinite=not verdict.almost,
         structure=verdict,
         classification=classification,
         violations=result.violations,
@@ -300,31 +286,24 @@ class PowerBound:
     heuristic: bool
 
 
-def _splitting_degree_multiple(cpoly: IntPoly, prime_bound: int = 1000) -> int:
-    """lcm of mod-p factor degrees at unramified primes, capped at d!.
+def _splitting_degree_multiple(cpoly: IntPoly, disc: int, prime_bound: int = 1000) -> int:
+    """lcm of mod-p factor degrees at primes p <= prime_bound not dividing disc, capped at d!.
 
-    For order <= 2 this equals the splitting-field degree; beyond that it
-    is a lower-bound heuristic for it.
+    cpoly must be squarefree (disc != 0).  For order <= 2 this equals the
+    splitting-field degree; beyond that it is a lower-bound heuristic for it.
     """
-    from .factorint import degree_pattern
-    from .numth import primes_up_to
-
-    sf = squarefree_part(cpoly)
-    d = degree(sf)
     cap = math.factorial(degree(cpoly))
     m = 1
-    disc = discriminant(sf)
     for p in primes_up_to(prime_bound).primes:
         if disc % p == 0:
             continue
-        pat = degree_pattern(sf, p)
-        m = lcm_list([m, *pat.pattern])
+        m = lcm_list([m, *(g.deg for g, _ in factor_mod_p(mod_reduce(cpoly, p)))])
         if m >= cap:
             return cap
     return m
 
 
-def power_fail_bound(spec: RecurrenceSpec, t: int) -> PowerBound | None:
+def power_fail_bound(analysis: Analysis, t: int) -> PowerBound | None:
     """Fail-factor multiple for the subsequence sampled at indices n**t.
 
     Requires a nonzero discriminant.  The multiplier is
@@ -337,28 +316,20 @@ def power_fail_bound(spec: RecurrenceSpec, t: int) -> PowerBound | None:
     """
     if t < 1:
         raise ValueError("exponent must be positive")
-    d = spec.order
-    cpoly = char_poly(spec)
-    disc = discriminant(cpoly)
+    d = analysis.spec.order
+    disc = analysis.disc
     if disc == 0:
         raise ValueError("power-subsequence bound requires a nonzero discriminant")
     radical = radical_int(abs(disc))
     if d <= 2:
         m = 1 if (d == 1 or _is_square(disc)) else 2
-        if t % m:
-            return None
-        return PowerBound(
-            bound=abs(spec.coefficients[d - 1] * disc) * radical,
-            radical=radical,
-            degree_multiple=m,
-            heuristic=False,
-        )
-    m = _splitting_degree_multiple(cpoly)
+    else:
+        m = _splitting_degree_multiple(analysis.cpoly, disc)
     if t % m:
         return None
     return PowerBound(
-        bound=abs(spec.coefficients[d - 1] * disc) * radical,
+        bound=abs(analysis.spec.coefficients[d - 1] * disc) * radical,
         radical=radical,
         degree_multiple=m,
-        heuristic=True,
+        heuristic=d > 2,
     )

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .factorint import factor_over_Z, irreducibility_witness
+from .factorint import Factorization, factor_over_Z, irreducibility_witness
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
@@ -49,6 +50,21 @@ def char_poly(spec: RecurrenceSpec) -> IntPoly:
     """x^d - r_1 x^(d-1) - ... - r_d, ascending coefficient order."""
     d = spec.order
     return normalize([-spec.coefficients[d - 1 - i] for i in range(d)] + [1])
+
+
+class Analysis(NamedTuple):
+    """A recurrence with its characteristic polynomial, discriminant and factorization over Z."""
+
+    spec: RecurrenceSpec
+    cpoly: IntPoly
+    disc: int
+    factorization: Factorization
+
+
+def analyze(spec: RecurrenceSpec) -> Analysis:
+    """Everything the structural steps need, computed once per request."""
+    cpoly = char_poly(spec)
+    return Analysis(spec, cpoly, discriminant(cpoly), factor_over_Z(cpoly))
 
 
 class SequenceView:
@@ -184,18 +200,17 @@ def _solve_prefix(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
     return sol
 
 
-def structure_test(spec: RecurrenceSpec) -> StructureVerdict:
+def structure_test(analysis: Analysis) -> StructureVerdict:
     """Decide whether the sequence is a rational combination of trace sequences.
 
-    Factors the characteristic polynomial into distinct irreducibles
-    C_1..C_m, builds their root power sums V^(i), and solves the exact
+    Takes the distinct irreducible factors C_1..C_m of the characteristic
+    polynomial, builds their root power sums V^(i), and solves the exact
     d x m linear system U_n = sum l_i V^(i)_n for n = 1..d.  Both sides
     satisfy the order-d recurrence (each C_i divides the characteristic
     polynomial), so agreement on d initial terms extends to every n.
     """
-    cpoly = char_poly(spec)
-    factorization = factor_over_Z(cpoly)
-    gens = [list(f) for f, _ in factorization.factors]
+    spec = analysis.spec
+    gens = [list(f) for f, _ in analysis.factorization.factors]
     d = spec.order
     columns = [power_sums(g, d) for g in gens]
     rows = [[Fraction(columns[i][n]) for i in range(len(gens))] for n in range(d)]
@@ -210,18 +225,20 @@ def structure_test(spec: RecurrenceSpec) -> StructureVerdict:
     return StructureVerdict(almost=True, coefficients=coeffs)
 
 
-def convenient_check(spec: RecurrenceSpec, prime_bound: int):
+def convenient_check(analysis: Analysis, prime_bound: int):
     """Search for a prime certifying irreducibility mod infinitely many primes.
 
     Returns ('certified', p), ('no-witness', bound) or ('not-convenient',
     None): a repeated irreducible factor persists modulo every prime not
     dividing the discriminant, so a non-squarefree characteristic
-    polynomial can never qualify.
+    polynomial can never qualify.  A product over Z stays a product
+    modulo every prime, so a reducible one has no witness and is not
+    searched.
     """
-    cpoly = char_poly(spec)
-    if discriminant(cpoly) == 0:
+    if analysis.disc == 0:
         return ("not-convenient", None)
-    witness = irreducibility_witness(cpoly, prime_bound)
+    irreducible = analysis.factorization.is_irreducible()
+    witness = irreducibility_witness(analysis.cpoly, prime_bound) if irreducible else None
     if witness is None:
         return ("no-witness", prime_bound)
     return ("certified", witness)

@@ -3,11 +3,13 @@
 import collections
 import json
 import pathlib
+import sys
 
 import jsonschema
 import pytest
 
-from doldseq import factorint
+import doldseq
+from doldseq import cli, dold, factorint, recurrence
 from doldseq.cli import InputError, dumps_report, loads_report, parse_bfile
 from doldseq.recurrence import SequenceView
 
@@ -89,8 +91,9 @@ def test_golden_key_facts(run_cli):
     assert 3 in [v["n"] for v in loads_report(out)["dold_violations"]]
     _, out = run_cli(GOLDEN_CASES[2][1])
     doc = loads_report(out)
-    assert doc["empirical_lower"] == 6 and doc["fail"] == 6
-    assert "exactness_source" in doc
+    # 6 meets only the radical of a heuristic bound, so it is not claimed as exact
+    assert doc["empirical_lower"] == 6 and doc["fail"] is None
+    assert "exactness_source" not in doc
 
 
 # -- exit-code contract ------------------------------------------------------
@@ -188,6 +191,84 @@ def test_check_reads_each_term_once(run_cli, monkeypatch):
     assert calls == collections.Counter(range(1, 301))
 
 
+# x^3 - 2x^2 + 1 = (x - 1)(x^2 - x - 1) is reducible; x^4 - 10x^2 + 1 is
+# irreducible with no witness prime.
+ANALYSIS_SPECS = [["--coeffs", "2,0,-1", "--initial", "1,2,3"], ["--coeffs", "0,10,0,-1", "--initial", "0,5,0,49"]]
+ANALYSIS_COMMANDS = [["fail", "--horizon", "20"], ["classify"], ["witness"], ["power", "--t", "2", "--horizon", "5"]]
+
+
+@pytest.mark.parametrize("spec", ANALYSIS_SPECS, ids=["reducible", "irreducible"])
+@pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=[c[0] for c in ANALYSIS_COMMANDS])
+def test_one_analysis_per_request(run_cli, monkeypatch, command, spec):
+    calls = collections.Counter()
+    for owner, name in ((recurrence, "char_poly"), (factorint, "factor_over_Z")):
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (doldseq, recurrence, factorint, dold, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _ = run_cli([*command, *spec])
+    assert code == 0
+    assert calls == {"char_poly": 1, "factor_over_Z": 1}
+
+
+@pytest.mark.parametrize("command", ["classify", "fail", "witness"])
+def test_prime_bound_below_two_is_an_input_error(run_cli, command):
+    argv = SUBCOMMAND_ARGV[command]
+    code, _ = run_cli([*argv, "--prime-bound", "2"])
+    assert code == 0
+    for bound in ("1", "0", "-3"):
+        code, out = run_cli([*argv, "--prime-bound", bound])
+        assert code == 1, (command, bound)
+        assert json.loads(out)["error"] == f"--prime-bound must be at least 2, got {bound}"
+        validate(out)
+
+
+# x^3 - 2x^2 - 2x - 2 is irreducible mod 17 and at no smaller unramified prime.
+@pytest.mark.parametrize("bound,row", [("13", "irreducible"), ("17", "convenient")])
+def test_fail_classifies_with_the_given_prime_bound(run_cli, bound, row):
+    spec = ["--coeffs", "2,2,2", "--initial", "1,0,0", "--prime-bound", bound]
+    _, out = run_cli(["classify", *spec])
+    classified = loads_report(out)
+    _, out = run_cli(["fail", *spec, "--horizon", "20"])
+    assert classified["row"] == row
+    assert loads_report(out)["classification"] == {k: classified[k] for k in ("row", "condition", "details")}
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_power_claims_exact_fail_only_from_a_proven_bound(run_cli, monkeypatch, heuristic):
+    # a bound equal to the golden input's empirical lower bound 6
+    monkeypatch.setattr(dold, "power_fail_bound", lambda analysis, t: dold.PowerBound(6, 6, 2, heuristic))
+    code, out = run_cli(GOLDEN_CASES[2][1])
+    assert code == 0
+    validate(out)
+    doc = loads_report(out)
+    assert doc["empirical_lower"] == 6 and doc["bound"]["heuristic"] is heuristic
+    if heuristic:
+        assert doc["fail"] is None and "exactness_source" not in doc
+    else:
+        assert doc["fail"] == 6 and "exactness_source" in doc
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT <= 4300, reason="needs the interpreter's default int-to-str digit limit")
+@pytest.mark.parametrize("output", [[], ["--human"]], ids=["json", "human"])
+def test_report_over_the_digit_limit_is_a_guard_stop(run_cli, output):
+    # the Mobius sums of this subsequence run to about 4800 decimal digits
+    code, out = run_cli(["power", "--t", "3", "--coeffs", "3,1", "--initial", "1,1", "--horizon", "30", *output])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["guard"] is True and f"{DIGIT_LIMIT}-digit limit" in doc["error"]
+    validate(out)
+    assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
 # -- flags and input channels ------------------------------------------------
 
 
@@ -244,6 +325,12 @@ def test_family_subcommand(run_cli):
     assert doc["coeffs"] == [8, -7] and doc["initial"] == [6, 41]
     assert doc["report"]["empirical_lower"] % 6 == 0
     validate(out)
+
+
+def test_family_scans_the_requested_horizon(run_cli):
+    code, out = run_cli(["family", "--delta", "3", "--horizon", "80"])
+    assert code == 0
+    assert loads_report(out)["report"]["horizon"] == 80
 
 
 def test_witness_subcommand(run_cli):

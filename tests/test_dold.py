@@ -20,6 +20,7 @@ from doldseq.dold import (
     table_bounds,
 )
 from doldseq.recurrence import (
+    analyze,
     make_recurrence,
     power_subsequence,
     raw_view,
@@ -103,27 +104,35 @@ def test_empirical_fail_lower_examples(example_seq, lucas):
 
 
 def test_table_bounds_examples(example_seq, order4_seq, lucas):
-    ex = dict(table_bounds(example_seq, structure_test(example_seq), classify(example_seq)))
+    ex = dict(table_bounds(analyze(example_seq), structure_test(analyze(example_seq))))
     assert ex["gcd"] == 6
     assert ex["order-2-scaled"] == 468
     assert ex["denominator"] == 6
-    o4 = dict(table_bounds(order4_seq, structure_test(order4_seq), classify(order4_seq)))
+    o4 = dict(table_bounds(analyze(order4_seq), structure_test(analyze(order4_seq))))
     assert o4["gcd"] == 4
-    lu = dict(table_bounds(lucas, structure_test(lucas), classify(lucas)))
+    lu = dict(table_bounds(analyze(lucas), structure_test(analyze(lucas))))
     assert lu["gcd"] == 1
 
 
+def test_table_bounds_repeated_factor():
+    # U_n = 1 + 2^n; characteristic polynomial (x - 1)^2 (x - 2), squarefree part x^2 - 3x + 2
+    spec = make_recurrence([4, -5, 2], [3, 5, 9])
+    bounds = dict(table_bounds(analyze(spec), structure_test(analyze(spec))))
+    assert "discriminant" not in bounds
+    assert bounds["squarefree-discriminant"] == 2  # |r_3| * disc(x^2 - 3x + 2) = 2 * 1
+
+
 def test_table_bounds_vacuous_for_refuted(fibonacci):
-    assert table_bounds(fibonacci, structure_test(fibonacci), classify(fibonacci)) == []
+    assert table_bounds(analyze(fibonacci), structure_test(analyze(fibonacci))) == []
 
 
 def test_classify_examples(example_seq, order4_seq):
-    assert classify(example_seq).row_id == "order-2-irreducible"
-    assert classify(square_disc_family(6)).row_id == "order-2-reducible"
-    row = classify(order4_seq)
+    assert classify(analyze(example_seq)).row_id == "order-2-irreducible"
+    assert classify(analyze(square_disc_family(6))).row_id == "order-2-reducible"
+    row = classify(analyze(order4_seq))
     assert row.row_id == "irreducible"
     assert row.details["convenient"] == "no-witness"
-    assert classify(make_recurrence([3], [1])).row_id == "order-1"
+    assert classify(analyze(make_recurrence([3], [1]))).row_id == "order-1"
 
 
 def test_fail_report_examples(example_seq, fibonacci):
@@ -154,18 +163,18 @@ def test_raw_report_unknown_verdict():
 
 
 def test_power_fail_bound_examples(order4_variant, fibonacci):
-    b = power_fail_bound(order4_variant, 4)
+    b = power_fail_bound(analyze(order4_variant), 4)
     assert b is not None
     assert b.radical == 6
     assert b.bound == 1 * 147456 * 6
     assert b.heuristic is True
-    fib2 = power_fail_bound(fibonacci, 2)
+    fib2 = power_fail_bound(analyze(fibonacci), 2)
     assert fib2 is not None and fib2.bound == 25 and fib2.degree_multiple == 2 and not fib2.heuristic
-    assert power_fail_bound(fibonacci, 3) is None
+    assert power_fail_bound(analyze(fibonacci), 3) is None
     with pytest.raises(ValueError):
-        power_fail_bound(make_recurrence([4, -4], [2, 8]), 2)  # zero discriminant
+        power_fail_bound(analyze(make_recurrence([4, -4], [2, 8])), 2)  # zero discriminant
     with pytest.raises(ValueError):
-        power_fail_bound(fibonacci, 0)
+        power_fail_bound(analyze(fibonacci), 0)
 
 
 def test_power_scan_sampled_indices(lucas):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from doldseq.factorint import factor_over_Z
+from doldseq.factorint import factor_over_Z, irreducibility_witness
 from doldseq.polyring import mul, normalize
 from doldseq.recurrence import (
+    analyze,
     TermSizeExceeded,
     char_poly,
     convenient_check,
@@ -85,19 +86,19 @@ def test_trace_sequence_examples():
 
 
 def test_structure_test_examples(fibonacci, example_seq, order4_variant):
-    fib = structure_test(fibonacci)
+    fib = structure_test(analyze(fibonacci))
     assert not fib.almost and fib.refutation_index == 2
-    ex = structure_test(example_seq)
+    ex = structure_test(analyze(example_seq))
     assert ex.almost
     assert ex.coefficients == (((-3, -12, 1), Fraction(1, 6)),)
-    assert not structure_test(order4_variant).almost
+    assert not structure_test(analyze(order4_variant)).almost
     # U_n = n * 2^n: repeated root, degree-1 polynomial coefficient
-    assert not structure_test(make_recurrence([4, -4], [2, 8])).almost
+    assert not structure_test(analyze(make_recurrence([4, -4], [2, 8]))).almost
 
 
 def test_structure_soundness_to_200(example_seq, order4_seq):
     for spec in (example_seq, order4_seq, square_disc_family(6)):
-        verdict = structure_test(spec)
+        verdict = structure_test(analyze(spec))
         assert verdict.almost
         view = sequence_view(spec)
         traces = [(trace_sequence(list(f)).view, l) for f, l in verdict.coefficients]
@@ -110,7 +111,7 @@ def test_trace_sequences_feed_back_with_coefficient_one():
     for _ in range(10):
         f = random_irreducible(rng, rng.randrange(1, 5))
         tr = trace_sequence(f)
-        verdict = structure_test(tr.view.spec)
+        verdict = structure_test(analyze(tr.view.spec))
         assert verdict.almost
         assert verdict.coefficients == ((tuple(f), Fraction(1)),)
 
@@ -122,20 +123,39 @@ def test_certified_convenient_implies_single_factor(fibonacci):
         f = random_irreducible(rng, rng.randrange(2, 5))
         specs.append(trace_sequence(f).view.spec)
     for spec in specs:
-        status, _ = convenient_check(spec, 300)
+        status, _ = convenient_check(analyze(spec), 300)
         if status != "certified":
             continue
-        verdict = structure_test(spec)
+        verdict = structure_test(analyze(spec))
         if verdict.almost:
             assert len(verdict.coefficients) == 1
 
 
 def test_convenient_check_examples(fibonacci, order4_seq):
-    assert convenient_check(fibonacci, 100) == ("certified", 2)
-    assert convenient_check(order4_seq, 1000) == ("no-witness", 1000)
-    assert convenient_check(make_recurrence([3], [1]), 100) == ("certified", 2)
+    assert convenient_check(analyze(fibonacci), 100) == ("certified", 2)
+    assert convenient_check(analyze(order4_seq), 1000) == ("no-witness", 1000)
+    assert convenient_check(analyze(make_recurrence([3], [1])), 100) == ("certified", 2)
     # repeated factor: (x - 2)^2 can never be irreducible mod an unramified p
-    assert convenient_check(make_recurrence([4, -4], [2, 8]), 100) == ("not-convenient", None)
+    assert convenient_check(analyze(make_recurrence([4, -4], [2, 8])), 100) == ("not-convenient", None)
+
+
+def test_reducible_shortcut_agrees_with_witness_search():
+    # a reducible squarefree polynomial is reported without a search;
+    # the full search over the same primes is the reference
+    rng = random.Random(97)
+    checked = 0
+    while checked < 20:
+        f = [1]
+        for _ in range(rng.randrange(2, 4)):
+            f = mul(f, random_irreducible(rng, rng.randrange(1, 4)))
+        spec = make_recurrence([-c for c in reversed(f[:-1])], [1] * (len(f) - 1))
+        analysis = analyze(spec)
+        assert analysis.cpoly == f
+        if analysis.disc == 0:
+            continue
+        assert convenient_check(analysis, 200) == ("no-witness", 200)
+        assert irreducibility_witness(f, 200) is None
+        checked += 1
 
 
 # -- power subsequences and the square-discriminant family -------------------

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import dold, factorint, recurrence
 from .factorint import root_density
@@ -66,28 +68,82 @@ def parse_bfile(text: str) -> BFile:
 # -- serialization -----------------------------------------------------------
 
 
-def _encode(obj):
-    """Recursively convert a result object to JSON-safe data; ints become decimal strings."""
-    # Cheapest and most frequent types first; bool before int, since bool is an int.
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
-        return obj
-    if isinstance(obj, int):
-        try:
-            return str(obj)
-        except ValueError:  # over the interpreter's int-to-str digit limit, which is left as set
-            limit = sys.get_int_max_str_digits()
-            raise UnsupportedSizeError(
-                f"report holds a {obj.bit_length()}-bit integer, over the {limit}-digit limit for decimal output"
-            ) from None
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if dataclasses.is_dataclass(obj):
-        return {k: _encode(v) for k, v in dataclasses.asdict(obj).items()}
-    return obj
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # over the interpreter's int-to-str digit limit, which is left as set
+        limit = sys.get_int_max_str_digits()
+        raise UnsupportedSizeError(
+            f"report holds a {value.bit_length()}-bit integer, over the {limit}-digit limit for decimal output"
+        ) from None
+
+
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    # the spellings json.dumps uses
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append the indent=2 JSON text of obj to out; nl is a newline plus the current indent.
+
+    Ints (not bools) become decimal strings, a Fraction becomes
+    {"numerator", "denominator"}, tuples become lists and dict keys go
+    through str().  Int members of a dict or list, the bulk of a scan
+    report, are written in place rather than through a recursive call.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(f'"{_int_text(obj)}"')
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(value) is int:
+                out.append(f'{sep}{_quote(str(key))}: "{_int_text(value)}"')
+            else:
+                out.append(f"{sep}{_quote(str(key))}: ")
+                _write(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            if type(value) is int:
+                out.append(f'{sep}"{_int_text(value)}"')
+            else:
+                out.append(sep)
+                _write(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, Fraction):
+        _write({"numerator": obj.numerator, "denominator": obj.denominator}, out, nl)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _maybe_int(value):
@@ -120,7 +176,7 @@ _STRING_FIELDS = frozenset(
 
 
 def _decode(obj, key=None):
-    """Inverse of _encode for round-tripping reports: decimal strings become ints."""
+    """Inverse of dumps_report for round-tripping reports: decimal strings become ints."""
     if isinstance(obj, dict):
         return {k: _decode(v, k) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -131,7 +187,10 @@ def _decode(obj, key=None):
 
 
 def dumps_report(doc: dict) -> str:
-    return json.dumps(_encode(doc), indent=2)
+    """The report as indent=2 JSON text, with every integer as a decimal string, in one pass."""
+    out: list[str] = []
+    _write(doc, out, "\n")
+    return "".join(out)
 
 
 def loads_report(text: str) -> dict:
@@ -210,7 +269,12 @@ def _view(args, spec) -> recurrence.SequenceView:
     return recurrence.sequence_view(spec, max_bits=args.max_bits)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing never mutates it: each parse_args returns a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(prog="doldseq", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=True, help="machine-readable output (default)")
@@ -422,7 +486,7 @@ def _humanize(doc: dict, indent: int = 0) -> str:
             lines.append(f"{pad}{key}:")
             lines.append(_humanize(value, indent + 1))
         elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + ", ".join(str(_encode(v)) for v in value))
+            lines.append(f"{pad}{key}: " + ", ".join(str(v) for v in value))
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
@@ -443,7 +507,9 @@ def run_command(argv: list[str]) -> int:
         if args.prime_bound < 2 and args.command in ("fail", "classify", "witness"):
             raise InputError(f"--prime-bound must be at least 2, got {args.prime_bound}")
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **_COMMANDS[args.command](args)}
-        text = _humanize(_encode(doc)) if args.human else dumps_report(doc)
+        text = dumps_report(doc)
+        if args.human:
+            text = _humanize(json.loads(text))
     except InputError as exc:
         print(dumps_report({"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}))
         return 1

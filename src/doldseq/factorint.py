@@ -340,11 +340,12 @@ def _factor_squarefree_over_Z(f: IntPoly, seed: int | None) -> list[IntPoly]:
     return result
 
 
-def factor_over_Z(f: IntPoly, seed: int | None = None) -> Factorization:
+def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) -> Factorization:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
     Supported envelope: degree <= 12, coefficients up to 1e6 in magnitude;
     outside it an UnsupportedSizeError is raised, never a wrong answer.
+    A caller that already holds the discriminant of f passes it as disc.
     """
     f = normalize(f)
     if not is_monic(f):
@@ -356,7 +357,9 @@ def factor_over_Z(f: IntPoly, seed: int | None = None) -> Factorization:
     if degree(f) == 0:
         return Factorization((), 1)
     # a nonzero discriminant means f is already squarefree
-    parts = [(f, 1)] if discriminant(f) else _squarefree_decomposition(f)
+    if disc is None:
+        disc = discriminant(f)
+    parts = [(f, 1)] if disc else _squarefree_decomposition(f)
     factors: list[tuple[tuple[int, ...], int]] = []
     for sqf, mult in parts:
         for irr in _factor_squarefree_over_Z(sqf, seed):
@@ -368,16 +371,18 @@ def factor_over_Z(f: IntPoly, seed: int | None = None) -> Factorization:
 # -- Frobenius-flavored diagnostics -----------------------------------------
 
 
-def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
+def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = None) -> int | None:
     """Smallest prime p <= bound with f squarefree and irreducible mod p.
 
     Such a p certifies that f stays irreducible modulo infinitely many
     primes (the mod-p factor degrees are the Frobenius cycle type, and a
     full-length cycle occurs with positive density).  None means no
-    witness up to the bound: inconclusive.
+    witness up to the bound: inconclusive.  A caller that already holds
+    the discriminant of f passes it as disc.
     """
     f = normalize(f)
-    disc = discriminant(f)
+    if disc is None:
+        disc = discriminant(f)
     if disc == 0:
         raise ValueError("irreducibility_witness requires a squarefree polynomial")
     if search_bound < 2:

@@ -64,7 +64,8 @@ class Analysis(NamedTuple):
 def analyze(spec: RecurrenceSpec) -> Analysis:
     """Everything the structural steps need, computed once per request."""
     cpoly = char_poly(spec)
-    return Analysis(spec, cpoly, discriminant(cpoly), factor_over_Z(cpoly))
+    disc = discriminant(cpoly)
+    return Analysis(spec, cpoly, disc, factor_over_Z(cpoly, disc=disc))
 
 
 class SequenceView:
@@ -238,7 +239,7 @@ def convenient_check(analysis: Analysis, prime_bound: int):
     if analysis.disc == 0:
         return ("not-convenient", None)
     irreducible = analysis.factorization.is_irreducible()
-    witness = irreducibility_witness(analysis.cpoly, prime_bound) if irreducible else None
+    witness = irreducibility_witness(analysis.cpoly, prime_bound, analysis.disc) if irreducible else None
     if witness is None:
         return ("no-witness", prime_bound)
     return ("certified", witness)

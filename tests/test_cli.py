@@ -1,15 +1,18 @@
 """Command-line interface: b-file parsing, report format, exit codes, goldens."""
 
+import argparse
 import collections
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import jsonschema
 import pytest
 
 import doldseq
-from doldseq import cli, dold, factorint, recurrence
+from doldseq import cli, dold, factorint, polyring, recurrence
 from doldseq.cli import InputError, dumps_report, loads_report, parse_bfile
 from doldseq.recurrence import SequenceView
 
@@ -82,6 +85,13 @@ def test_golden_invocations(run_cli, name, argv):
     assert code == 0
     assert out == (HERE / "golden" / f"{name}.json").read_text()
     validate(out)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_human_invocations(run_cli, name, argv):
+    code, out = run_cli([*argv, "--human"])
+    assert code == 0
+    assert out == (HERE / "golden" / f"{name}.human.txt").read_text()
 
 
 def test_golden_key_facts(run_cli):
@@ -216,6 +226,28 @@ def test_one_analysis_per_request(run_cli, monkeypatch, command, spec):
     assert calls == {"char_poly": 1, "factor_over_Z": 1}
 
 
+# x^3 - 2x^2 - 2x - 2 is irreducible, with witness prime 17
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "--coeffs", "0,10,0,-1", "--initial", "0,5,0,49"], ["witness", "--coeffs", "2,2,2", "--initial", "1,0,0"]],
+    ids=["classify", "witness"],
+)
+def test_one_discriminant_per_request(run_cli, monkeypatch, argv):
+    calls = []
+    original = polyring.discriminant
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (doldseq, polyring, recurrence, factorint, dold, cli):
+        if getattr(module, "discriminant", None) is original:
+            monkeypatch.setattr(module, "discriminant", counting)
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["classify", "fail", "witness"])
 def test_prime_bound_below_two_is_an_input_error(run_cli, command):
     argv = SUBCOMMAND_ARGV[command]
@@ -267,6 +299,62 @@ def test_report_over_the_digit_limit_is_a_guard_stop(run_cli, output):
     assert doc["guard"] is True and f"{DIGIT_LIMIT}-digit limit" in doc["error"]
     validate(out)
     assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
+# -- parser reuse ------------------------------------------------------------
+
+# One process, one parser: flags of one call must not reach the next.
+REUSE_SEQUENCE = [
+    ["power", "--t", "3", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "8"],
+    ["check", "--coeffs", "1,1", "--initial", "1,3", "--horizon", "20"],
+    ["power", "--coeffs", "1,1", "--initial", "1,1"],  # --t is required again: exit 1
+    ["classify", "--human", "--coeffs", "12,3", "--initial", "2,25"],
+    ["classify", "--coeffs", "12,3", "--initial", "2,25"],
+    ["fail", "--bogus"],  # argparse error: exit 1
+    ["witness", "--seed", "5", "--coeffs", "2,2,2", "--initial", "1,0,0", "--prime-bound", "20"],
+    ["witness", "--coeffs", "2,2,2", "--initial", "1,0,0"],
+    ["gen", "--horizon", "4", "--coeffs", "1,1", "--initial", "1,1"],
+    ["gen", "--coeffs", "1,1", "--initial", "1,1"],
+]
+
+
+def test_one_parser_serves_an_interleaved_sequence(capsys, monkeypatch):
+    def run(argv):
+        code = cli.run_command(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [0, 0, 1, 0, 0, 1, 0, 0, 0, 0]
+
+    builds = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    reused = []
+    for argv in REUSE_SEQUENCE:
+        reused.append(run(argv))
+        assert builds.count("doldseq") == 1
+    built_by_first_call = len(builds)
+    assert reused == fresh
+    assert len(builds) == built_by_first_call
+    cli.build_parser.cache_clear()
+
+
+def test_parser_is_not_built_at_import():
+    src = pathlib.Path(doldseq.__file__).parent.parent
+    probe = "import doldseq.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "0"
 
 
 # -- flags and input channels ------------------------------------------------

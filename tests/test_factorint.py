@@ -310,3 +310,18 @@ def test_squarefree_fast_path_agrees_with_yun():
         assert (discriminant(f) != 0) == squarefree
         if squarefree:
             assert _squarefree_decomposition(f) == [(f, 1)]
+
+
+def test_given_discriminant_agrees_with_computed():
+    # analyze() and convenient_check() hand over the discriminant they hold;
+    # a caller that omits it gets the same answer
+    rng = random.Random(41)
+    for _ in range(60):
+        f = [1]
+        for _ in range(rng.randrange(1, 4)):
+            g = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 3))] + [1]
+            f = mul(f, mul(g, g) if rng.random() < 0.3 else g)
+        disc = discriminant(f)
+        assert factor_over_Z(f, disc=disc) == factor_over_Z(f)
+        if disc:
+            assert irreducibility_witness(f, 200, disc) == irreducibility_witness(f, 200)

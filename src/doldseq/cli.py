@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -20,7 +21,7 @@ from . import dold, factorint, recurrence
 from .factorint import root_density
 from .numth import UnsupportedSizeError
 from .polyring import normalize, poly_to_string
-from .recurrence import TermSizeExceeded
+from .recurrence import TermSizeExceeded, decimal_bit_length
 
 SCHEMA_VERSION = "1"
 
@@ -31,16 +32,36 @@ class InputError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class BFile:
-    """Parsed OEIS-style b-file: (index, value) entries."""
+    """Parsed OEIS-style b-file: (index, value) entries, each value an exact integral Decimal."""
 
-    entries: tuple[tuple[int, int], ...]
+    entries: tuple[tuple[int, Decimal], ...]
     contiguous: bool
     offset: int
 
 
+# The interpreter's int-to-str digit limit (0: none); missing before Python 3.10.7.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_ZERO = Decimal(0)
+
+
+def _parse_value(token: str, limit: int) -> Decimal:
+    """The integer int(token) denotes, as an exact Decimal; ValueError wherever int() raises one.
+
+    Plain ASCII digits, the bulk of any b-file, go straight to Decimal in
+    linear time (bytes.isdigit tests them several times faster than
+    str.isdigit).  Anything else (underscores, non-ASCII digits, or more
+    than `limit` digits) goes through int() itself, so the same tokens are
+    accepted and rejected as by int().
+    """
+    digits = token[1:] if token[:1] in "+-" else token
+    if digits.isascii() and digits.encode().isdigit() and not (limit and len(digits) > limit):
+        return Decimal(token) or _ZERO  # "-0" is zero
+    return Decimal(int(token))
+
+
 def parse_bfile(text: str) -> BFile:
-    entries: list[tuple[int, int]] = []
-    seen: set[int] = set()
+    entries: list[tuple[int, Decimal]] = []
+    limit = _digit_limit()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -49,14 +70,13 @@ def parse_bfile(text: str) -> BFile:
         if len(parts) != 2:
             raise InputError(f"line {lineno}: expected 'index value', got {line!r}")
         try:
-            n, value = int(parts[0]), int(parts[1])
+            n, value = int(parts[0]), _parse_value(parts[1], limit)
         except ValueError:
             raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
-        if n in seen:
-            raise InputError(f"line {lineno}: duplicate index {n}")
         if entries and n <= entries[-1][0]:
+            if any(m == n for m, _ in entries):
+                raise InputError(f"line {lineno}: duplicate index {n}")
             raise InputError(f"line {lineno}: indices must be strictly increasing")
-        seen.add(n)
         entries.append((n, value))
     if not entries:
         raise InputError("b-file contains no entries")
@@ -68,14 +88,23 @@ def parse_bfile(text: str) -> BFile:
 # -- serialization -----------------------------------------------------------
 
 
+def _too_long(bits: int, limit: int) -> UnsupportedSizeError:
+    return UnsupportedSizeError(f"report holds a {bits}-bit integer, over the {limit}-digit limit for decimal output")
+
+
 def _int_text(value: int) -> str:
     try:
         return str(value)
     except ValueError:  # over the interpreter's int-to-str digit limit, which is left as set
-        limit = sys.get_int_max_str_digits()
-        raise UnsupportedSizeError(
-            f"report holds a {value.bit_length()}-bit integer, over the {limit}-digit limit for decimal output"
-        ) from None
+        raise _too_long(value.bit_length(), _digit_limit()) from None
+
+
+def _decimal_text(value: Decimal) -> str:
+    """The digits of an integral Decimal with exponent 0, under the same digit limit as an int."""
+    limit = _digit_limit()
+    if limit and value.adjusted() >= limit:
+        raise _too_long(decimal_bit_length(value), limit)
+    return str(value) if value else "0"  # never "-0"
 
 
 _INF = float("inf")
@@ -95,10 +124,11 @@ def _float_text(value: float) -> str:
 def _write(obj, out: list[str], nl: str) -> None:
     """Append the indent=2 JSON text of obj to out; nl is a newline plus the current indent.
 
-    Ints (not bools) become decimal strings, a Fraction becomes
-    {"numerator", "denominator"}, tuples become lists and dict keys go
-    through str().  Int members of a dict or list, the bulk of a scan
-    report, are written in place rather than through a recursive call.
+    Ints (not bools) and integral Decimals become decimal strings, a
+    Fraction becomes {"numerator", "denominator"}, tuples become lists
+    and dict keys go through str().  Int and Decimal members of a dict or
+    list, the bulk of a scan report, are written in place rather than
+    through a recursive call.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -110,6 +140,8 @@ def _write(obj, out: list[str], nl: str) -> None:
         out.append("false")
     elif isinstance(obj, int):
         out.append(f'"{_int_text(obj)}"')
+    elif isinstance(obj, Decimal):
+        out.append(f'"{_decimal_text(obj)}"')
     elif isinstance(obj, float):
         out.append(_float_text(obj))
     elif isinstance(obj, dict):
@@ -119,8 +151,11 @@ def _write(obj, out: list[str], nl: str) -> None:
         inner = nl + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            if type(value) is int:
+            kind = type(value)
+            if kind is int:
                 out.append(f'{sep}{_quote(str(key))}: "{_int_text(value)}"')
+            elif kind is Decimal:
+                out.append(f'{sep}{_quote(str(key))}: "{_decimal_text(value)}"')
             else:
                 out.append(f"{sep}{_quote(str(key))}: ")
                 _write(value, out, inner)
@@ -133,8 +168,11 @@ def _write(obj, out: list[str], nl: str) -> None:
         inner = nl + "  "
         sep = "[" + inner
         for value in obj:
-            if type(value) is int:
+            kind = type(value)
+            if kind is int:
                 out.append(f'{sep}"{_int_text(value)}"')
+            elif kind is Decimal:
+                out.append(f'{sep}"{_decimal_text(value)}"')
             else:
                 out.append(sep)
                 _write(value, out, inner)
@@ -320,7 +358,7 @@ def _echo(spec) -> dict:
 def _cmd_gen(args) -> dict:
     spec = _load_spec(args)
     view = _view(args, spec)
-    return {"input": _echo(spec), "terms": [view.term(n) for n in range(1, args.horizon + 1)]}
+    return {"input": _echo(spec), "terms": view.terms(args.horizon)}
 
 
 def _cmd_check(args) -> dict:

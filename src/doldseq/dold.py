@@ -15,12 +15,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 from .factorint import factor_mod_p
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, primes_up_to, radical_int
 from .polyring import IntPoly, degree, discriminant, mod_reduce, mul
 from .recurrence import (
+    EXACT,
     Analysis,
     RecurrenceSpec,
     SequenceView,
@@ -34,12 +36,11 @@ from .recurrence import (
 DEFAULT_HORIZON = 200
 
 
-@dataclass(frozen=True)
-class DoldViolation:
+class DoldViolation(NamedTuple):
     """Index n with n not dividing S_n; deficiency is the forced repair multiple."""
 
     n: int
-    mobius_sum: int
+    mobius_sum: Decimal  # S_n, an exact integral Decimal
     deficiency: int
 
 
@@ -74,28 +75,30 @@ def mobius_sum(view: SequenceView, n: int) -> int:
     return sum(mobius(n // d) * view.term(d) for d in divisors(n))
 
 
-def mobius_sums(view: SequenceView, horizon: int) -> list[int]:
-    """[S_1, ..., S_horizon] by one Dirichlet-convolution pass.
+def mobius_sums(view: SequenceView, horizon: int) -> list[Decimal]:
+    """[S_1, ..., S_horizon] as exact integral Decimals, by one Dirichlet-convolution pass.
 
-    Reads each term A_1..A_horizon once, then adds mu(m) * A_d into
-    S_{m*d} for every squarefree m <= horizon: about (6/pi^2) N ln N
-    big-int additions and no factoring.
+    Reads A_1..A_horizon once, starts S_k at A_k (mu(1) = 1), then adds
+    mu(m) * A_d into S_{m*d} for every squarefree m from 2 to horizon:
+    about (6/pi^2) N ln N big-number additions and no factoring.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    terms = [view.term(d) for d in range(1, horizon + 1)]
+    terms = view.terms(horizon)
     mu = mobius_table(horizon)
-    sums = [0] * (horizon + 1)
-    for m, sign in enumerate(mu):
-        if not sign:
-            continue
-        multiples = range(m, horizon + 1, m)
-        if sign > 0:
-            for k, a in zip(multiples, terms):
-                sums[k] += a
-        else:
-            for k, a in zip(multiples, terms):
-                sums[k] -= a
+    sums = [Decimal(0), *terms]
+    with localcontext(EXACT):
+        for m in range(2, horizon + 1):
+            sign = mu[m]
+            if not sign:
+                continue
+            multiples = range(m, horizon + 1, m)
+            if sign > 0:
+                for k, a in zip(multiples, terms):
+                    sums[k] += a
+            else:
+                for k, a in zip(multiples, terms):
+                    sums[k] -= a
     return sums[1:]
 
 
@@ -112,11 +115,20 @@ class DoldScan(NamedTuple):
 
 
 def scan(view: SequenceView, horizon: int) -> DoldScan:
-    """Dold violations, sign violations and the empirical lower bound up to horizon."""
-    sums = mobius_sums(view, horizon)
-    violations = tuple(DoldViolation(n, s, n // math.gcd(n, s)) for n, s in enumerate(sums, start=1) if s % n)
-    negative = tuple(n for n, s in enumerate(sums, start=1) if s < 0)
-    return DoldScan(violations, negative, lcm_list([v.deficiency for v in violations]))
+    """Dold violations, sign violations and the empirical lower bound up to horizon, in one loop."""
+    violations = []
+    negative = []
+    lower = 1
+    with localcontext(EXACT):
+        for n, s in enumerate(mobius_sums(view, horizon), start=1):
+            r = s % n
+            if r:
+                deficiency = n // math.gcd(n, int(r))
+                violations.append(DoldViolation(n, s, deficiency))
+                lower = math.lcm(lower, deficiency)
+            if s < 0:
+                negative.append(n)
+    return DoldScan(tuple(violations), tuple(negative), lower)
 
 
 def dold_violations(view: SequenceView, horizon: int) -> list[DoldViolation]:

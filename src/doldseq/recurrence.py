@@ -6,11 +6,21 @@ n**t.  The structure test decides whether a sequence is an exact rational
 combination of the trace sequences of the distinct irreducible factors of
 its characteristic polynomial, which is equivalent to the fail factor
 being finite.
+
+Views hold their values as exact integral Decimals (exponent 0, never
+negative zero) rather than ints: libmpdec stores them in base 10^19, so
+adding them costs about what int addition costs while printing and
+parsing them take linear time instead of quadratic.  All arithmetic on
+them runs under ``localcontext(EXACT)``, which traps any rounding; the
+caller's decimal context is never used or changed.  ``term(n)`` returns
+an int; ``terms(N)`` returns the Decimals A_1..A_N.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,6 +28,45 @@ from .factorint import Factorization, factor_over_Z, irreducibility_witness
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
+
+# Integer arithmetic on integral Decimals: any rounding raises instead.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation])
+_ZERO = Decimal(0)
+_ONE = Decimal(1)
+
+
+def _exact(value) -> Decimal:
+    """An int or an integral Decimal as an exact Decimal with exponent 0 and no negative zero."""
+    if type(value) is Decimal and value and value.same_quantum(_ONE):
+        return value  # the common case, kept as it is
+    if not isinstance(value, Decimal):
+        return Decimal(operator.index(value))
+    with localcontext(EXACT) as ctx:
+        if not value.is_finite() or value != value.to_integral_value():
+            raise ValueError(f"not an integer: {value!r}")
+        ctx.traps[Rounded] = False  # dropping the trailing zeros of 3.00 is rounding, but exact
+        value = value.quantize(_ONE)
+    return value or _ZERO
+
+
+def decimal_bit_length(value: Decimal) -> int:
+    """int(value).bit_length() for an integral Decimal, in linear time.
+
+    int() of a Decimal is quadratic in its length (seconds at a million
+    bits).  This starts from a power of two just below 10**value.adjusted()
+    and doubles it past |value|, a handful of exact steps.
+    """
+    if not value:
+        return 0
+    with localcontext(EXACT):
+        magnitude = abs(value)
+        # 3.321928 < log2(10), so 2**bits <= 10**adjusted <= |value|
+        bits = max(0, value.adjusted() * 3321928 // 1000000 - 1)
+        power = Decimal(2) ** bits
+        while power <= magnitude:
+            power *= 2
+            bits += 1
+    return bits
 
 
 class TermSizeExceeded(RuntimeError):
@@ -72,8 +121,9 @@ class SequenceView:
     """Lazily generated, cached exact terms indexed from 1.
 
     Backed by a recurrence, by a power subsequence of another view, or by
-    raw ingested terms.  The cache is grow-only; a per-term bit guard
-    bounds memory.
+    raw ingested terms (ints or integral Decimals, converted once).  The
+    cache is grow-only; a per-term bit guard bounds memory: a generated
+    term v stops generation when |v| >= 2**max_bits.
     """
 
     def __init__(
@@ -82,43 +132,74 @@ class SequenceView:
         spec: RecurrenceSpec | None = None,
         base: "SequenceView | None" = None,
         exponent: int | None = None,
-        raw: list[int] | None = None,
+        raw: "list[int] | list[Decimal] | None" = None,
         max_bits: int = DEFAULT_MAX_BITS,
     ):
         self.spec = spec
         self.base = base
         self.exponent = exponent
-        self.raw = list(raw) if raw is not None else None
+        self.raw = None if raw is None else [_exact(v) for v in raw]
         self.max_bits = max_bits
-        self._cache: list[int] = list(spec.initial) if spec is not None else []
+        self._cache: list[Decimal] = [_exact(v) for v in spec.initial] if spec is not None else []
+        # (i, r_i) for each nonzero coefficient: A_k = sum r_i * A_(k-i)
+        self._steps = [(i, _exact(c)) for i, c in enumerate(spec.coefficients, start=1) if c] if spec is not None else []
+        # 0.30102 < log10(2): a term of at most _safe_digits digits is under 2**max_bits
+        self._safe_digits = max_bits * 30102 // 100000 - 1
+        self._limit: Decimal | None = None  # 2**max_bits, built when a term comes near it
+
+    def terms(self, count: int) -> list[Decimal]:
+        """A_1..A_count as exact integral Decimals."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        return self._prefix(count)[:count]
 
     def term(self, n: int) -> int:
+        """A_n as an int."""
         if n < 1:
             raise ValueError("indices start at 1")
-        if self.raw is not None:
-            if n > len(self.raw):
-                raise IndexError(f"raw sequence has only {len(self.raw)} terms")
-            return self.raw[n - 1]
         if self.base is not None:
             return self.base.term(n**self.exponent)
-        assert self.spec is not None
-        coeffs = self.spec.coefficients
-        d = self.spec.order
-        while len(self._cache) < n:
-            value = sum(c * self._cache[-i - 1] for i, c in enumerate(coeffs))
-            if value.bit_length() > self.max_bits:
-                raise TermSizeExceeded(
-                    f"term {len(self._cache) + 1} needs {value.bit_length()} bits (budget {self.max_bits})"
-                )
-            self._cache.append(value)
-        return self._cache[n - 1]
+        return int(self._prefix(n)[n - 1])
+
+    def _prefix(self, count: int) -> list[Decimal]:
+        """A list whose first count entries are A_1..A_count (the cache itself, not a copy)."""
+        if self.raw is not None:
+            if count > len(self.raw):
+                raise IndexError(f"raw sequence has only {len(self.raw)} terms")
+            return self.raw
+        if self.base is not None:
+            t = self.exponent
+            values = self.base._prefix(count**t)
+            return [values[n**t - 1] for n in range(1, count + 1)]
+        cache = self._cache
+        if len(cache) < count:
+            steps = self._steps
+            safe = self._safe_digits
+            with localcontext(EXACT):
+                for k in range(len(cache), count):
+                    value = _ZERO  # a zero sum stays +0 even when a product is -0
+                    for i, c in steps:
+                        value += c * cache[k - i]
+                    if value.adjusted() >= safe:
+                        self._check_size(value, k + 1)
+                    cache.append(value)
+        return cache
+
+    def _check_size(self, value: Decimal, index: int) -> None:
+        if self.max_bits >= 0:
+            with localcontext(EXACT):
+                if self._limit is None:
+                    self._limit = Decimal(2) ** self.max_bits
+                if abs(value) < self._limit:
+                    return
+        raise TermSizeExceeded(f"term {index} needs {decimal_bit_length(value)} bits (budget {self.max_bits})")
 
 
 def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
     return SequenceView(spec=spec, max_bits=max_bits)
 
 
-def raw_view(terms: list[int], max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
+def raw_view(terms: "list[int] | list[Decimal]", max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
     return SequenceView(raw=terms, max_bits=max_bits)
 
 
@@ -133,7 +214,10 @@ def power_subsequence(view: SequenceView, t: int) -> SequenceView:
 
 def scaled_view(view: SequenceView, c: int, horizon: int) -> SequenceView:
     """Raw view of c * view over 1..horizon (used by the multiplier checks)."""
-    return raw_view([c * view.term(n) for n in range(1, horizon + 1)], max_bits=view.max_bits)
+    factor = _exact(c)
+    with localcontext(EXACT):
+        values = [factor * v for v in view.terms(horizon)]
+    return raw_view(values, max_bits=view.max_bits)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,37 @@ def test_parse_bfile_errors():
         parse_bfile("# nothing\n")
 
 
+def _int_or_none(token):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+# "1e3", "NaN" and "1.0" are Decimal syntax that int() rejects
+BFILE_TOKENS = ["+5", "-0", "007", "1_000", "\u0661\u0662\u0663", "1e3", "1.0", "NaN", "inf", "0x10", "-12", "1__0", "+"]
+BFILE_TOKENS += ["9" * (_LIMIT + 1), "0" * _LIMIT + "1", "-" + "9" * _LIMIT, "7" * _LIMIT]
+
+
+@pytest.mark.parametrize("token", BFILE_TOKENS, ids=range(len(BFILE_TOKENS)))
+def test_bfile_values_are_read_as_int_reads_them(run_cli, tmp_path, token):
+    """A b-file value is accepted exactly where int() accepts it, with int()'s value, and otherwise is an input error."""
+    path = tmp_path / "b.txt"
+    path.write_text(f"1 3\n2 {token}\n3 4\n")
+    code, out = run_cli(["bfile-check", str(path)])
+    value = _int_or_none(token)
+    if value is None:
+        assert code == 1
+        assert json.loads(out)["error"] == f"line 2: non-integer field in '2 {token}'"
+        return
+    assert parse_bfile(path.read_text()).entries[1][1] == value
+    plain = tmp_path / "plain.txt"
+    plain.write_text(f"1 3\n2 {value}\n3 4\n")
+    assert (code, out) == run_cli(["bfile-check", str(plain)])
+    assert code == 0
+
+
 # -- serialization -----------------------------------------------------------
 
 
@@ -188,17 +219,19 @@ def test_power_nonpositive_exponent_is_an_input_error(run_cli):
 
 
 def test_check_reads_each_term_once(run_cli, monkeypatch):
-    calls = collections.Counter()
-    original = SequenceView.term
+    # one bulk read of A_1..A_N, and no per-index reads
+    calls = []
+    for name in ("term", "terms"):
+        original = getattr(SequenceView, name)
 
-    def counting_term(self, n):
-        calls[n] += 1
-        return original(self, n)
+        def counting(self, n, _name=name, _original=original):
+            calls.append((_name, n))
+            return _original(self, n)
 
-    monkeypatch.setattr(SequenceView, "term", counting_term)
+        monkeypatch.setattr(SequenceView, name, counting)
     code, _ = run_cli(["check", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "300"])
     assert code == 0
-    assert calls == collections.Counter(range(1, 301))
+    assert calls == [("terms", 300)]
 
 
 # x^3 - 2x^2 + 1 = (x - 1)(x^2 - x - 1) is reducible; x^4 - 10x^2 + 1 is

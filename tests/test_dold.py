@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from doldseq.cli import parse_bfile
 from doldseq.dold import (
     classify,
     dold_violations,
@@ -19,6 +20,7 @@ from doldseq.dold import (
     sign_violations,
     table_bounds,
 )
+from doldseq.numth import primes_up_to
 from doldseq.recurrence import (
     analyze,
     make_recurrence,
@@ -190,3 +192,48 @@ def test_integer_power_sequences_pass_all_checks():
     for x in range(-3, 4):
         view = raw_view([x**n for n in range(1, 301)])
         assert dold_violations(view, 300) == []
+
+
+def _differential_views(seed):
+    """Order 1-3 sequences with negative and zero terms, as recurrence, raw (int and b-file) and power views."""
+    rng = random.Random(seed)
+    specs = [make_recurrence([0, -1], [0, 1]), make_recurrence([1, -1], [0, -2])]  # periodic, with zero terms
+    for order in (1, 2, 3):
+        coeffs = [rng.randint(-4, 4) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        initial = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(order)]
+        initial[rng.randrange(order)] = 0 if order > 1 else initial[0]
+        specs.append(make_recurrence(coeffs, initial))
+    for spec in specs:
+        ints = [sequence_view(spec).term(n) for n in range(1, 201)]
+        bfile = parse_bfile("# seeded\n" + "".join(f"{n} {v}\n" for n, v in enumerate(ints, start=1)))
+        yield sequence_view(spec), 200
+        yield raw_view(ints), 200
+        yield raw_view([v for _, v in bfile.entries]), 200
+        yield power_subsequence(sequence_view(spec), 2), 30
+        yield power_subsequence(sequence_view(spec), 3), 9
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_decimal_scan_agrees_with_the_int_referees(seed):
+    """scan on Decimal values against mobius_sum and prime_power_check, which work on int terms.
+
+    For each prime p, p^v_p(n) divides S_n for every n <= N exactly when
+    p^k divides A_(p^k s) - A_(p^(k-1) s) for every p^k s <= N with p not
+    dividing s, so the primes in the deficiencies are the primes whose
+    congruences fail.
+    """
+    for view, horizon in _differential_views(seed):
+        sums = [mobius_sum(view, n) for n in range(1, horizon + 1)]
+        assert all(type(s) is int for s in sums)
+        result = scan(view, horizon)
+        expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(sums, start=1) if s % n]
+        assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
+        assert list(result.sign_violations) == [n for n, s in enumerate(sums, start=1) if s < 0]
+        for p in primes_up_to(horizon).primes:
+            congruences_hold = all(
+                prime_power_check(view, p, k, s)
+                for k in range(1, horizon.bit_length())
+                for s in range(1, horizon // p**k + 1)
+                if s % p
+            )
+            assert congruences_hold == (result.empirical_lower % p != 0), (p, horizon)

@@ -516,17 +516,39 @@ _COMMANDS = {
 }
 
 
+def _human_text(value, nested: bool = False) -> str:
+    """One value of a decoded JSON report as plain text: JSON spellings for true, false and null.
+
+    A dict is its `key: value` pairs and a list its members, comma-separated;
+    nested inside another value they are wrapped in {} and [].
+    """
+    if isinstance(value, dict):
+        text = ", ".join(f"{key}: {_human_text(v, True)}" for key, v in value.items())
+        return "{" + text + "}" if nested else text
+    if isinstance(value, list):
+        text = ", ".join(_human_text(v, True) for v in value)
+        return "[" + text + "]" if nested else text
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def _humanize(doc: dict, indent: int = 0) -> str:
+    """A decoded JSON report as `key: value` lines; a dict, or a list holding dicts or lists, spans lines."""
     lines = []
     pad = "  " * indent
     for key, value in doc.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             lines.append(f"{pad}{key}:")
             lines.append(_humanize(value, indent + 1))
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + ", ".join(str(v) for v in value))
+        elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+            lines.append(f"{pad}{key}:")
+            lines.extend(f"{pad}  - {_human_text(v)}" for v in value)
         else:
-            lines.append(f"{pad}{key}: {value}")
+            text = _human_text(value)
+            lines.append(f"{pad}{key}: {text}" if text else f"{pad}{key}:")
     return "\n".join(lines)
 
 

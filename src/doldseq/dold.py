@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-from .factorint import factor_mod_p
+from .factorint import _gf_degrees
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, primes_up_to, radical_int
-from .polyring import IntPoly, degree, discriminant, mod_reduce, mul
+from .polyring import IntPoly, degree, discriminant, mul
 from .recurrence import (
     EXACT,
     Analysis,
@@ -309,7 +309,7 @@ def _splitting_degree_multiple(cpoly: IntPoly, disc: int, prime_bound: int = 100
     for p in primes_up_to(prime_bound).primes:
         if disc % p == 0:
             continue
-        m = lcm_list([m, *(g.deg for g, _ in factor_mod_p(mod_reduce(cpoly, p)))])
+        m = lcm_list([m, *_gf_degrees(cpoly, p)])
         if m >= cap:
             return cap
     return m

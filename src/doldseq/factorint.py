@@ -5,6 +5,12 @@ modulo a prime that keeps the polynomial squarefree, Hensel lifting past
 the Mignotte coefficient bound, then exhaustive subset recombination.
 Everything is deterministic: the randomized equal-degree splitting is
 seeded from the input.
+
+Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
+themselves, so only that path calls ``factor_mod_p``.  The witness
+search, ``degree_pattern`` and the splitting-degree search in ``dold``
+need just the factor degrees, which ``_gf_degrees`` reads off the
+squarefree and distinct-degree splits without equal-degree splitting.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ from .polyring import (
 
 MAX_DEGREE = 12
 MAX_COEFF = 10**6
+# Largest prime search bound of irreducibility_witness and root_density;
+# both sieve every prime up to the bound before they test the first one.
+MAX_PRIME_BOUND = 10**5
 
 # Global override for the equal-degree-splitting seed; None keeps the
 # per-input derivation.  The CLI's --seed flag sets it for one command.
@@ -129,6 +138,20 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
+
+
+def _gf_degrees(f: list[int], p: int) -> tuple[int, ...]:
+    """Sorted degrees, with multiplicity, of the monic irreducible factors of monic f over F_p.
+
+    A distinct-degree block of total degree D holds D/d factors of degree
+    d, so the degrees need no equal-degree splitting.
+    """
+    degrees: list[int] = []
+    for sqf, mult in _gf_squarefree_list(zm_reduce(f, p), p):
+        for block, d in _gf_distinct_degree(sqf, p):
+            degrees += [d] * ((len(block) - 1) // d * mult)
+    degrees.sort()
+    return tuple(degrees)
 
 
 def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -371,6 +394,11 @@ def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) 
 # -- Frobenius-flavored diagnostics -----------------------------------------
 
 
+def _check_prime_bound(bound: int) -> None:
+    if bound > MAX_PRIME_BOUND:
+        raise UnsupportedSizeError(f"prime bound {bound} exceeds supported envelope {MAX_PRIME_BOUND}")
+
+
 def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = None) -> int | None:
     """Smallest prime p <= bound with f squarefree and irreducible mod p.
 
@@ -378,7 +406,8 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
     primes (the mod-p factor degrees are the Frobenius cycle type, and a
     full-length cycle occurs with positive density).  None means no
     witness up to the bound: inconclusive.  A caller that already holds
-    the discriminant of f passes it as disc.
+    the discriminant of f passes it as disc.  A bound above
+    MAX_PRIME_BOUND raises UnsupportedSizeError.
     """
     f = normalize(f)
     if disc is None:
@@ -387,12 +416,10 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
         raise ValueError("irreducibility_witness requires a squarefree polynomial")
     if search_bound < 2:
         raise ValueError("search bound must be at least 2")
+    _check_prime_bound(search_bound)
+    irreducible = (degree(f),)
     for p in primes_up_to(search_bound).primes:
-        if disc % p == 0:
-            continue
-        if degree(f) == 1:
-            return p
-        if len(factor_mod_p(mod_reduce(f, p))) == 1:
+        if disc % p and _gf_degrees(f, p) == irreducible:
             return p
     return None
 
@@ -403,11 +430,9 @@ def degree_pattern(f: IntPoly, p: int) -> FactorPattern:
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("degree_pattern requires a squarefree polynomial")
-    fac = factor_mod_p(mod_reduce(f, p))
-    pat = []
-    for g, e in fac:
-        pat.extend([g.deg] * e)
-    return FactorPattern(prime=p, pattern=tuple(sorted(pat)), ramified=disc % p == 0)
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return FactorPattern(prime=p, pattern=_gf_degrees(f, p), ramified=disc % p == 0)
 
 
 def _has_root_mod_p(f: list[int], p: int) -> bool:
@@ -417,9 +442,13 @@ def _has_root_mod_p(f: list[int], p: int) -> bool:
 
 
 def root_density(f: IntPoly, prime_bound: int) -> Fraction:
-    """Fraction of unramified primes p <= bound for which f has a root mod p."""
+    """Fraction of unramified primes p <= bound for which f has a root mod p.
+
+    The bound runs from 100 to MAX_PRIME_BOUND; above it UnsupportedSizeError is raised.
+    """
     if prime_bound < 100:
         raise ValueError("prime bound must be at least 100")
+    _check_prime_bound(prime_bound)
     f = normalize(f)
     disc = discriminant(squarefree_part(f))
     hits = 0

@@ -315,16 +315,35 @@ def zm_mulmod(f: list[int], g: list[int], h: list[int], m: int) -> list[int]:
     return _divide(mul(f, g), h, m, None)
 
 
+def _square(f: list[int]) -> list[int]:
+    # f*f over Z with each cross product formed once and doubled
+    n = len(f)
+    out = [0] * (2 * n - 1)  # [] for the zero polynomial
+    for i in range(n):
+        a = f[i]
+        if a:
+            out[2 * i] += a * a
+            twice = a + a
+            for j in range(i + 1, n):
+                out[i + j] += twice * f[j]
+    return out
+
+
 def zm_pow_mod(f: list[int], e: int, h: list[int], m: int) -> list[int]:
-    """f**e mod h over Z/m, squaring left to right: multiplying by a short f such as x is cheap."""
+    """f**e mod h over Z/m, squaring left to right.
+
+    A multiplication by the base is a one-slot shift when the base is x,
+    as in the Frobenius powers x**p of mod-p factoring.
+    """
     if e == 0:
         return [1]
     base = zm_rem(f, h, m)
+    shift = base == [0, 1]
     result = base
     for bit in bin(e)[3:]:
-        result = zm_mulmod(result, result, h, m)
+        result = _divide(_square(result), h, m, None)
         if bit == "1":
-            result = zm_mulmod(result, base, h, m)
+            result = _divide([0, *result] if shift else mul(result, base), h, m, None)
     return result
 
 

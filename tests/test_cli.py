@@ -293,6 +293,35 @@ def test_prime_bound_below_two_is_an_input_error(run_cli, command):
         validate(out)
 
 
+# x^3 - x^2 - x - 1 is irreducible over Z, so these three search witness primes up to --prime-bound.
+PRIME_BOUND_ARGV = {
+    "fail": ["fail", "--coeffs", "1,1,1", "--initial", "1,1,1", "--horizon", "5"],
+    "classify": ["classify", "--coeffs", "1,1,1", "--initial", "1,1,1"],
+    "witness": ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"],
+    "density": ["density", "--poly=5,1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRIME_BOUND_ARGV))
+def test_prime_bound_above_the_ceiling_is_a_guard_stop(run_cli, monkeypatch, command):
+    argv = PRIME_BOUND_ARGV[command]
+    ceiling = factorint.MAX_PRIME_BOUND
+    code, _ = run_cli([*argv, "--prime-bound", str(ceiling)])
+    assert code == 0
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve up to {limit} built past the ceiling")
+
+    # the guard stops the request before any prime is sieved
+    monkeypatch.setattr(factorint, "primes_up_to", no_sieve)
+    for bound in (ceiling + 1, 10**9):
+        code, out = run_cli([*argv, "--prime-bound", str(bound)])
+        assert code == 2, (command, bound)
+        doc = json.loads(out)
+        assert doc["guard"] is True and f"prime bound {bound} exceeds" in doc["error"]
+        validate(out)
+
+
 # x^3 - 2x^2 - 2x - 2 is irreducible mod 17 and at no smaller unramified prime.
 @pytest.mark.parametrize("bound,row", [("13", "irreducible"), ("17", "convenient")])
 def test_fail_classifies_with_the_given_prime_bound(run_cli, bound, row):

@@ -1,10 +1,14 @@
 """Integer and mod-p polynomial factorization: examples, oracles, invariants."""
 
+import math
 import random
 
 import pytest
 
+from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
+    FactorPattern,
+    _gf_degrees,
     degree_pattern,
     factor_mod_p,
     factor_over_Z,
@@ -13,7 +17,7 @@ from doldseq.factorint import (
     root_density,
 )
 from doldseq.numth import UnsupportedSizeError, legendre, primes_up_to
-from doldseq.polyring import ModPoly, discriminant, evaluate, mod_reduce, mul, normalize
+from doldseq.polyring import ModPoly, degree, discriminant, evaluate, mod_reduce, mul, normalize
 
 
 def poly_from_roots(roots):
@@ -325,3 +329,83 @@ def test_given_discriminant_agrees_with_computed():
         assert factor_over_Z(f, disc=disc) == factor_over_Z(f)
         if disc:
             assert irreducibility_witness(f, 200, disc) == irreducibility_witness(f, 200)
+
+
+# -- factor degrees without equal-degree splitting, against factor_mod_p ----
+
+
+def referee_degrees(f, p):
+    return tuple(sorted(g.deg for g, e in factor_mod_p(mod_reduce(f, p)) for _ in range(e)))
+
+
+def referee_witness(f, bound):
+    disc = discriminant(f)
+    for p in primes_up_to(bound).primes:
+        if disc % p and len(factor_mod_p(mod_reduce(f, p))) == 1:
+            return p
+    return None
+
+
+def referee_splitting_degree(f, disc, bound):
+    cap = math.factorial(degree(f))
+    m = 1
+    for p in primes_up_to(bound).primes:
+        if disc % p:
+            m = math.lcm(m, *(g.deg for g, _ in factor_mod_p(mod_reduce(f, p))))
+            if m >= cap:
+                return cap
+    return m
+
+
+def random_monic(rng, deg):
+    return [rng.randrange(-9, 10) for _ in range(deg)] + [1]
+
+
+def degree_pool():
+    """Random monic polynomials, biquadratics, products of small irreducibles and squares."""
+    rng = random.Random(2026)
+    pool = [random_monic(rng, deg) for deg in range(1, 13) for _ in range(3)]
+    # x^4 - 2(a+b)x^2 + (a-b)^2, the minimal polynomial of sqrt(a) + sqrt(b)
+    for a, b in [(2, 3), (2, 5), (3, 7), (-1, 2), (5, 13), (6, 10)]:
+        pool.append([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
+    for _ in range(8):
+        f = [1]
+        for _ in range(rng.randrange(2, 4)):
+            f = mul(f, random_irreducible(rng, rng.choice([2, 3])))
+        pool.append(f)
+    for _ in range(6):
+        g = random_monic(rng, rng.randrange(1, 4))
+        pool.append(mul(mul(g, g), random_monic(rng, rng.randrange(0, 3))))
+    return [normalize(f) for f in pool]
+
+
+DEGREE_POOL = degree_pool()
+SMALL_PRIMES = primes_up_to(60).primes
+
+
+@pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
+def test_factor_degrees_match_full_factorization(index):
+    f = DEGREE_POOL[index]
+    disc = discriminant(f)
+    for p in SMALL_PRIMES:  # p = 2, 3 and the primes dividing disc (f not squarefree mod p) included
+        assert _gf_degrees(f, p) == referee_degrees(f, p), (f, p)
+        if disc:
+            assert degree_pattern(f, p) == FactorPattern(p, referee_degrees(f, p), disc % p == 0)
+    if disc:
+        assert irreducibility_witness(f, 60) == referee_witness(f, 60)
+        assert _splitting_degree_multiple(f, disc, 60) == referee_splitting_degree(f, disc, 60)
+
+
+def test_pool_reaches_every_case():
+    discs = [discriminant(f) for f in DEGREE_POOL]
+    assert {degree(f) for f in DEGREE_POOL} == set(range(1, 13))
+    assert any(d == 0 for d in discs)
+    assert any(d and any(d % p == 0 for p in SMALL_PRIMES) for d in discs)
+    assert any(len(set(referee_degrees(f, p))) > 1 for f in DEGREE_POOL for p in SMALL_PRIMES)
+    assert any(referee_witness(f, 60) for f in DEGREE_POOL if degree(f) > 1 and discriminant(f))
+
+
+def test_degree_pattern_rejects_a_composite_modulus():
+    with pytest.raises(ValueError, match="not prime"):
+        degree_pattern([-1, -1, 1], 6)
+

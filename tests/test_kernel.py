@@ -131,3 +131,21 @@ def test_composite_modulus_rejected_at_public_entry_points():
         raw.mul(raw)
     with pytest.raises(ValueError):
         factor_mod_p(raw)
+
+
+def repeated_mulmod(f, e, h, m):
+    out = zm_rem([1], h, m)
+    for _ in range(e):
+        out = zm_mulmod(out, f, h, m)
+    return out
+
+
+@pytest.mark.parametrize("m", PRIMES + PRIME_POWERS)
+def test_pow_mod_matches_repeated_multiplication(m):
+    # the base x (also unreduced, as 1 + m) takes the shift step, any other base a full product
+    rng = random.Random(3000 + m)
+    for _ in range(30):
+        h = random_divisor(rng, m, rng.randrange(1, 8))
+        for f in ([0, 1], [0, 1 + m], random_poly(rng, m, rng.randrange(0, 8))):
+            for e in [0, 1, 2, 3, rng.randrange(4, 400)]:
+                assert zm_pow_mod(f, e, h, m) == repeated_mulmod(f, e, h, m), (f, e, h)

@@ -29,7 +29,7 @@ from .factorint import (
     irreducibility_witness,
     root_density,
 )
-from .numth import PrimeSieve, legendre, mobius, mobius_table, p_valuation, primes_up_to, radical_int
+from .numth import PrimeSieve, legendre, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import ModPoly, discriminant, mod_reduce, power_sums, resultant, squarefree_part
 from .recurrence import (
     Analysis,

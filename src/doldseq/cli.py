@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import json
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -99,9 +99,8 @@ def _int_text(value: int) -> str:
         raise _too_long(value.bit_length(), _digit_limit()) from None
 
 
-def _decimal_text(value: Decimal) -> str:
-    """The digits of an integral Decimal with exponent 0, under the same digit limit as an int."""
-    limit = _digit_limit()
+def _decimal_text(value: Decimal, limit: int) -> str:
+    """The digits of an integral Decimal with exponent 0, under the interpreter's int digit limit (0: none)."""
     if limit and value.adjusted() >= limit:
         raise _too_long(decimal_bit_length(value), limit)
     return str(value) if value else "0"  # never "-0"
@@ -121,14 +120,30 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+def _record_template(kind: type, member_kinds: tuple[type, ...], nl: str) -> str | None:
+    """A %-template writing a record of NamedTuple type kind at indent nl, as an object keyed by its _fields.
+
+    It quotes each member's str(), which is its JSON text only for an int
+    or an integral Decimal: None unless member_kinds, the types of the
+    record's members, are all int or Decimal.
+    """
+    if not member_kinds or not all(k is int or k is Decimal for k in member_kinds):
+        return None
+    inner = nl + "  "
+    return "{" + ",".join(f'{inner}{_quote(name)}: "%s"' for name in kind._fields) + nl + "}"
+
+
 def _write(obj, out: list[str], nl: str) -> None:
     """Append the indent=2 JSON text of obj to out; nl is a newline plus the current indent.
 
     Ints (not bools) and integral Decimals become decimal strings, a
-    Fraction becomes {"numerator", "denominator"}, tuples become lists
-    and dict keys go through str().  Int and Decimal members of a dict or
-    list, the bulk of a scan report, are written in place rather than
-    through a recursive call.
+    Fraction becomes {"numerator", "denominator"}, a NamedTuple becomes an
+    object keyed by its _fields, other tuples become lists and dict keys
+    go through str().  Int and Decimal members of a dict or list, the bulk
+    of a scan report, are written in place rather than through a recursive
+    call.  So is a record in a list whose members are all ints and
+    Decimals, such as a scan's Dold violation: one %-format on a template
+    built once per record type in the list.
     """
     if isinstance(obj, str):
         out.append(_quote(obj))
@@ -141,13 +156,14 @@ def _write(obj, out: list[str], nl: str) -> None:
     elif isinstance(obj, int):
         out.append(f'"{_int_text(obj)}"')
     elif isinstance(obj, Decimal):
-        out.append(f'"{_decimal_text(obj)}"')
+        out.append(f'"{_decimal_text(obj, _digit_limit())}"')
     elif isinstance(obj, float):
         out.append(_float_text(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        limit = _digit_limit()
         inner = nl + "  "
         sep = "{" + inner
         for key, value in obj.items():
@@ -155,24 +171,51 @@ def _write(obj, out: list[str], nl: str) -> None:
             if kind is int:
                 out.append(f'{sep}{_quote(str(key))}: "{_int_text(value)}"')
             elif kind is Decimal:
-                out.append(f'{sep}{_quote(str(key))}: "{_decimal_text(value)}"')
+                out.append(f'{sep}{_quote(str(key))}: "{_decimal_text(value, limit)}"')
             else:
                 out.append(f"{sep}{_quote(str(key))}: ")
                 _write(value, out, inner)
             sep = "," + inner
         out.append(nl + "}")
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        _write(dict(zip(obj._fields, obj)), out, nl)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        limit = _digit_limit()
+        cap = limit or MAX_EMAX  # a Decimal member with adjusted() >= cap goes the checked way
         inner = nl + "  "
+        # the last record type and member types met in this list, their template and Decimal members
+        record_type = record_kinds = template = None
+        decimal_slots: list[int] = []
         sep = "[" + inner
         for value in obj:
             kind = type(value)
             if kind is int:
                 out.append(f'{sep}"{_int_text(value)}"')
             elif kind is Decimal:
-                out.append(f'{sep}"{_decimal_text(value)}"')
+                out.append(f'{sep}"{_decimal_text(value, limit)}"')
+            elif kind is record_type or (issubclass(kind, tuple) and hasattr(kind, "_fields")):
+                kinds = tuple(map(type, value))
+                if kind is not record_type or kinds != record_kinds:
+                    record_type, record_kinds = kind, kinds
+                    template = _record_template(kind, kinds, inner)
+                    decimal_slots = [i for i, k in enumerate(kinds) if k is Decimal]
+                # a zero Decimal may be -0 and a long one over the limit; an int over it makes % raise
+                checked = template is None
+                for i in decimal_slots:
+                    member = value[i]
+                    if not member or member.adjusted() >= cap:
+                        checked = True
+                if not checked:
+                    try:
+                        out.append(sep + template % value)
+                    except ValueError:
+                        checked = True
+                if checked:
+                    out.append(sep)
+                    _write(value, out, inner)
             else:
                 out.append(sep)
                 _write(value, out, inner)
@@ -247,10 +290,6 @@ def _structure_doc(verdict):
     return {"almost": False, "refutation_index": verdict.refutation_index}
 
 
-def _violations_doc(violations):
-    return [{"n": v.n, "mobius_sum": v.mobius_sum, "deficiency": v.deficiency} for v in violations]
-
-
 def _fail_doc(report: dold.FailReport) -> dict:
     doc = {
         "verdict": report.verdict,
@@ -259,7 +298,7 @@ def _fail_doc(report: dold.FailReport) -> dict:
         "fail": "infinity" if report.infinite else (report.exact if report.exact is not None else None),
         "exact": report.exact,
         "upper_bounds": [{"label": label, "value": value} for label, value in report.upper_bounds],
-        "violations": _violations_doc(report.violations),
+        "violations": report.violations,
         "per_prime": [{"prime": p, "min_exponent": lo, "max_exponent": hi} for p, lo, hi in report.per_prime],
     }
     if report.structure is not None:
@@ -367,7 +406,7 @@ def _cmd_check(args) -> dict:
     return {
         "input": _echo(spec),
         "horizon": args.horizon,
-        "dold_violations": _violations_doc(result.violations),
+        "dold_violations": result.violations,
         "sign_violations": result.sign_violations,
     }
 
@@ -399,7 +438,7 @@ def _cmd_power(args) -> dict:
         "horizon": args.horizon,
         "row": "power-subsequence",
         "base_structure": _structure_doc(verdict),
-        "dold_violations": _violations_doc(result.violations),
+        "dold_violations": result.violations,
         "empirical_lower": lower,
     }
     try:
@@ -498,7 +537,7 @@ def _cmd_bfile(args) -> dict:
         "horizon": horizon,
         "verdict": report.verdict,
         "empirical_lower": report.empirical_lower,
-        "dold_violations": _violations_doc(report.violations),
+        "dold_violations": report.violations,
         "sign_violations": report.sign_violations,
     }
 

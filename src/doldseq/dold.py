@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 from .factorint import _gf_degrees
-from .numth import divisors, factorize, gcd_list, lcm_list, mobius, mobius_table, p_valuation, primes_up_to, radical_int
+from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import IntPoly, degree, discriminant, mul
 from .recurrence import (
     EXACT,
@@ -76,29 +77,26 @@ def mobius_sum(view: SequenceView, n: int) -> int:
 
 
 def mobius_sums(view: SequenceView, horizon: int) -> list[Decimal]:
-    """[S_1, ..., S_horizon] as exact integral Decimals, by one Dirichlet-convolution pass.
+    """[S_1, ..., S_horizon] as exact integral Decimals, by Mobius inversion one prime at a time.
 
-    Reads A_1..A_horizon once, starts S_k at A_k (mu(1) = 1), then adds
-    mu(m) * A_d into S_{m*d} for every squarefree m from 2 to horizon:
-    about (6/pi^2) N ln N big-number additions and no factoring.
+    As Dirichlet series, sum S_n n^-s = (sum A_n n^-s) / zeta(s), and
+    1/zeta(s) is the Euler product over primes p of (1 - p^-s).  So the
+    sums start as the terms A_1..A_N, and each prime p <= N applies its
+    factor: S_kp -= S_k for every k <= N/p, all read before the step
+    writes (both slices are copies).  The factors commute, and only
+    primes p <= N touch an index <= N, so after the last prime S_n is
+    sum over d | n of mu(n/d) A_d.  That is sum over p <= N of floor(N/p),
+    about N ln ln N big-number subtractions (2,126 at N = 1000, 4,454 at
+    N = 2000), each step one C-level map over two slices, with no mu table
+    and no factoring.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
-    terms = view.terms(horizon)
-    mu = mobius_table(horizon)
-    sums = [Decimal(0), *terms]
-    with localcontext(EXACT):
-        for m in range(2, horizon + 1):
-            sign = mu[m]
-            if not sign:
-                continue
-            multiples = range(m, horizon + 1, m)
-            if sign > 0:
-                for k, a in zip(multiples, terms):
-                    sums[k] += a
-            else:
-                for k, a in zip(multiples, terms):
-                    sums[k] -= a
+    sums = [Decimal(0), *view.terms(horizon)]
+    if horizon >= 2:
+        with localcontext(EXACT):
+            for p in primes_up_to(horizon).primes:
+                sums[p::p] = map(operator.sub, sums[p::p], sums[1 : horizon // p + 1])
     return sums[1:]
 
 

@@ -115,30 +115,6 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def mobius_table(limit: int) -> list[int]:
-    """mu(0..limit) by a linear sieve; entry 0 is 0 (mu is defined from 1)."""
-    if limit < 0:
-        raise ValueError("mobius_table requires limit >= 0")
-    mu = [1] * (limit + 1)
-    mu[0] = 0
-    composite = bytearray(limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            composite[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
-
-
 def radical_int(n: int) -> int:
     """Greatest squarefree divisor of n >= 1."""
     if n < 1:

@@ -24,7 +24,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Inv
 from fractions import Fraction
 from typing import NamedTuple
 
-from .factorint import Factorization, factor_over_Z, irreducibility_witness
+from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreducibility_witness
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
@@ -318,8 +318,10 @@ def convenient_check(analysis: Analysis, prime_bound: int):
     dividing the discriminant, so a non-squarefree characteristic
     polynomial can never qualify.  A product over Z stays a product
     modulo every prime, so a reducible one has no witness and is not
-    searched.
+    searched.  A bound above MAX_PRIME_BOUND raises UnsupportedSizeError
+    whatever the polynomial, so no report names a search that never ran.
     """
+    _check_prime_bound(prime_bound)
     if analysis.disc == 0:
         return ("not-convenient", None)
     irreducible = analysis.factorization.is_irreducible()

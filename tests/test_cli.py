@@ -293,12 +293,18 @@ def test_prime_bound_below_two_is_an_input_error(run_cli, command):
         validate(out)
 
 
-# x^3 - x^2 - x - 1 is irreducible over Z, so these three search witness primes up to --prime-bound.
+# x^3 - x^2 - x - 1 is irreducible over Z, so the first three search witness primes up to --prime-bound.
+# x^3 - 2x^2 + 1 = (x - 1)(x^2 - x - 1) is reducible and (x - 1)^2, (x - 1)^3 are not squarefree:
+# no prime is searched for them, so no report may name a bound above the ceiling as searched.
 PRIME_BOUND_ARGV = {
     "fail": ["fail", "--coeffs", "1,1,1", "--initial", "1,1,1", "--horizon", "5"],
     "classify": ["classify", "--coeffs", "1,1,1", "--initial", "1,1,1"],
     "witness": ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"],
     "density": ["density", "--poly=5,1"],
+    "witness-reducible": ["witness", "--coeffs", "2,0,-1", "--initial", "1,2,3"],
+    "witness-repeated-factor": ["witness", "--coeffs", "2,-1", "--initial", "1,2"],
+    "classify-reducible": ["classify", "--coeffs", "2,0,-1", "--initial", "1,2,3"],
+    "classify-repeated-factor": ["classify", "--coeffs", "3,-3,1", "--initial", "1,2,3"],
 }
 
 

@@ -20,7 +20,7 @@ from doldseq.dold import (
     sign_violations,
     table_bounds,
 )
-from doldseq.numth import primes_up_to
+from doldseq.numth import mobius, primes_up_to
 from doldseq.recurrence import (
     analyze,
     make_recurrence,
@@ -58,12 +58,29 @@ def _seeded_views(seed):
 def test_scan_matches_per_index_mobius_sum(seed):
     for view, horizon in _seeded_views(seed):
         reference = [mobius_sum(view, n) for n in range(1, horizon + 1)]
-        assert mobius_sums(view, horizon) == reference
+        # the smallest horizons, a prime and a prime square, then the full one
+        for h in (1, 2, 3, 4, 97, 121, horizon):
+            if h <= horizon:
+                assert mobius_sums(view, h) == reference[:h]
         result = scan(view, horizon)
         expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(reference, start=1) if s % n]
         assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
         assert list(result.sign_violations) == [n for n, s in enumerate(reference, start=1) if s < 0]
         assert result.empirical_lower == math.lcm(1, *(d for _, _, d in expected))
+
+
+def test_mobius_sums_match_an_int_reference_at_a_long_horizon():
+    # ints generated here, not through view.term(n), which is quadratic on long terms
+    coeffs, initial, horizon = [3, 5, 7], [1, 2, 3], 2000
+    terms = list(initial)
+    while len(terms) < horizon:
+        terms.append(sum(c * terms[-i] for i, c in enumerate(coeffs, start=1)))
+    mu = [0, *(mobius(n) for n in range(1, horizon + 1))]
+    reference = [0] * (horizon + 1)
+    for d in range(1, horizon + 1):
+        for k, n in enumerate(range(d, horizon + 1, d), start=1):
+            reference[n] += mu[k] * terms[d - 1]
+    assert mobius_sums(sequence_view(make_recurrence(coeffs, initial)), horizon) == reference[1:]
 
 
 def test_scan_horizon_edges():

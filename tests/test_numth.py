@@ -14,7 +14,6 @@ from doldseq.numth import (
     lcm_list,
     legendre,
     mobius,
-    mobius_table,
     p_valuation,
     primes_up_to,
     radical_int,
@@ -30,15 +29,6 @@ def test_mobius_examples():
 def test_mobius_rejects_nonpositive():
     with pytest.raises(ValueError):
         mobius(0)
-
-
-def test_mobius_table_matches_mobius():
-    mu = mobius_table(10**4)
-    assert len(mu) == 10**4 + 1 and mu[0] == 0
-    assert all(mu[n] == mobius(n) for n in range(1, 10**4 + 1))
-    assert mobius_table(0) == [0]
-    with pytest.raises(ValueError):
-        mobius_table(-1)
 
 
 def test_radical_examples():

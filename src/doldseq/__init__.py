@@ -7,16 +7,12 @@ from .dold import (
     FailReport,
     PowerBound,
     classify,
-    dold_violations,
-    empirical_fail_lower,
     fail_report,
     mobius_sum,
     mobius_sums,
     power_fail_bound,
     prime_power_check,
-    raw_report,
     scan,
-    sign_violations,
     table_bounds,
 )
 from .factorint import (
@@ -30,7 +26,7 @@ from .factorint import (
     root_density,
 )
 from .numth import PrimeSieve, legendre, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import ModPoly, discriminant, mod_reduce, power_sums, resultant, squarefree_part
+from .polyring import discriminant, power_sums, resultant, squarefree_part
 from .recurrence import (
     Analysis,
     RecurrenceSpec,

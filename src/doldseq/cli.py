@@ -35,7 +35,6 @@ class BFile:
     """Parsed OEIS-style b-file: (index, value) entries, each value an exact integral Decimal."""
 
     entries: tuple[tuple[int, Decimal], ...]
-    contiguous: bool
     offset: int
 
 
@@ -80,9 +79,7 @@ def parse_bfile(text: str) -> BFile:
         entries.append((n, value))
     if not entries:
         raise InputError("b-file contains no entries")
-    offset = entries[0][0]
-    contiguous = all(b[0] - a[0] == 1 for a, b in zip(entries, entries[1:]))
-    return BFile(tuple(entries), contiguous, offset)
+    return BFile(tuple(entries), entries[0][0])
 
 
 # -- serialization -----------------------------------------------------------
@@ -291,7 +288,7 @@ def _structure_doc(verdict):
 
 
 def _fail_doc(report: dold.FailReport) -> dict:
-    doc = {
+    return {
         "verdict": report.verdict,
         "horizon": report.horizon,
         "empirical_lower": report.empirical_lower,
@@ -300,16 +297,13 @@ def _fail_doc(report: dold.FailReport) -> dict:
         "upper_bounds": [{"label": label, "value": value} for label, value in report.upper_bounds],
         "violations": report.violations,
         "per_prime": [{"prime": p, "min_exponent": lo, "max_exponent": hi} for p, lo, hi in report.per_prime],
-    }
-    if report.structure is not None:
-        doc["structure"] = _structure_doc(report.structure)
-    if report.classification is not None:
-        doc["classification"] = {
+        "structure": _structure_doc(report.structure),
+        "classification": {
             "row": report.classification.row_id,
             "condition": report.classification.condition,
             "details": report.classification.details,
-        }
-    return doc
+        },
+    }
 
 
 # -- argument handling -------------------------------------------------------
@@ -322,13 +316,21 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+def _spec_ints(doc: dict, key: str) -> list[int]:
+    """doc[key] as ints: a JSON list of integers (not booleans) or strings int() reads."""
+    values = doc[key]
+    if not isinstance(values, list) or not all(type(c) is int or type(c) is str for c in values):
+        raise TypeError(f"{key!r} must be a list of integers or integer strings")
+    return [int(c) for c in values]
+
+
 def _load_spec(args) -> recurrence.RecurrenceSpec:
     if args.spec:
         try:
             with open(args.spec) as fh:
                 doc = json.load(fh)
-            coeffs = [int(c) for c in doc["coeffs"]]
-            initial = [int(c) for c in doc["initial"]]
+            coeffs = _spec_ints(doc, "coeffs")
+            initial = _spec_ints(doc, "initial")
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed recurrence document: {exc}") from None
     else:
@@ -528,17 +530,17 @@ def _cmd_bfile(args) -> dict:
         terms.append(value)
         expected += 1
     horizon = min(args.horizon, len(terms))
-    report = dold.raw_report(recurrence.raw_view(terms, max_bits=args.max_bits), horizon)
+    result = dold.scan(recurrence.raw_view(terms, max_bits=args.max_bits), horizon)
     return {
         "entries": len(bfile.entries),
-        "contiguous": bfile.contiguous,
+        "contiguous": len(terms) == len(bfile.entries),
         "offset": bfile.offset,
         "warnings": warnings,
         "horizon": horizon,
-        "verdict": report.verdict,
-        "empirical_lower": report.empirical_lower,
-        "dold_violations": report.violations,
-        "sign_violations": report.sign_violations,
+        "verdict": "unknown",  # a bare sequence carries no structure to decide from
+        "empirical_lower": result.empirical_lower,
+        "dold_violations": result.violations,
+        "sign_violations": result.sign_violations,
     }
 
 

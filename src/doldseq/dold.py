@@ -56,17 +56,17 @@ class ClassificationRow:
 
 @dataclass(frozen=True)
 class FailReport:
-    verdict: str  # "almost-dold" | "not-almost-dold" | "unknown"
+    verdict: str  # "almost-dold" | "not-almost-dold"
     horizon: int
     empirical_lower: int
     upper_bounds: tuple[tuple[str, int], ...]
     exact: int | None
     infinite: bool
-    structure: StructureVerdict | None = None
-    classification: ClassificationRow | None = None
-    violations: tuple[DoldViolation, ...] = ()
-    sign_violations: tuple[int, ...] = ()  # indices n with S_n < 0
-    per_prime: tuple[tuple[int, int, int], ...] = ()  # (p, min exponent, max exponent)
+    structure: StructureVerdict
+    classification: ClassificationRow
+    violations: tuple[DoldViolation, ...]
+    sign_violations: tuple[int, ...]  # indices n with S_n < 0
+    per_prime: tuple[tuple[int, int, int], ...]  # (p, min exponent, max exponent)
 
 
 def mobius_sum(view: SequenceView, n: int) -> int:
@@ -129,26 +129,11 @@ def scan(view: SequenceView, horizon: int) -> DoldScan:
     return DoldScan(tuple(violations), tuple(negative), lower)
 
 
-def dold_violations(view: SequenceView, horizon: int) -> list[DoldViolation]:
-    """All indices n <= horizon where n does not divide S_n."""
-    return list(scan(view, horizon).violations)
-
-
-def sign_violations(view: SequenceView, horizon: int) -> list[int]:
-    """All indices n <= horizon with a negative Mobius sum."""
-    return list(scan(view, horizon).sign_violations)
-
-
 def prime_power_check(view: SequenceView, p: int, k: int, s: int) -> bool:
     """True iff p^k divides A_{p^k s} - A_{p^(k-1) s}; requires p coprime to s."""
     if s % p == 0:
         raise ValueError("s must not be divisible by p")
     return (view.term(p**k * s) - view.term(p ** (k - 1) * s)) % p**k == 0
-
-
-def empirical_fail_lower(view: SequenceView, horizon: int) -> int:
-    """lcm of deficiencies over n <= horizon; divides the fail factor."""
-    return scan(view, horizon).empirical_lower
 
 
 # -- classification and theoretical bounds -----------------------------------
@@ -265,21 +250,6 @@ def fail_report(
         violations=result.violations,
         sign_violations=result.sign_violations,
         per_prime=_per_prime_resolution(lower, bounds),
-    )
-
-
-def raw_report(view: SequenceView, horizon: int) -> FailReport:
-    """Empirical-only report for an ingested sequence (no structure claims)."""
-    result = scan(view, horizon)
-    return FailReport(
-        verdict="unknown",
-        horizon=horizon,
-        empirical_lower=result.empirical_lower,
-        upper_bounds=(),
-        exact=None,
-        infinite=False,
-        violations=result.violations,
-        sign_violations=result.sign_violations,
     )
 
 

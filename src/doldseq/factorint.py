@@ -24,7 +24,6 @@ from fractions import Fraction
 from .numth import UnsupportedSizeError, is_prime, primes_up_to, small_primes
 from .polyring import (
     IntPoly,
-    ModPoly,
     add,
     degree,
     derivative,
@@ -32,7 +31,6 @@ from .polyring import (
     divmod_exact,
     gcd_monic,
     is_monic,
-    mod_reduce,
     mul,
     normalize,
     squarefree_part,
@@ -61,13 +59,12 @@ DEFAULT_SEED: int | None = None
 
 @dataclass(frozen=True)
 class Factorization:
-    """Monic irreducible factors with multiplicities; sign * product == input."""
+    """Monic irreducible factors with multiplicities; their product is the (monic) input."""
 
     factors: tuple[tuple[tuple[int, ...], int], ...]
-    sign: int
 
     def expand(self) -> IntPoly:
-        out: IntPoly = [self.sign]
+        out: IntPoly = [1]
         for f, e in self.factors:
             for _ in range(e):
                 out = mul(out, list(f))
@@ -178,29 +175,29 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(h, d, p, rng)
 
 
-def factor_mod_p(f: ModPoly, seed: int | None = None) -> list[tuple[ModPoly, int]]:
-    """Complete factorization of f over F_p into monic irreducibles.
+def factor_mod_p(f: list[int], p: int, seed: int | None = None) -> list[tuple[list[int], int]]:
+    """Complete factorization of f over F_p, for p prime, into monic irreducibles.
 
     Output is sorted canonically (degree, then coefficients) regardless of
-    the internal randomness, which is seeded from the input unless an
-    explicit seed is given.
+    the internal randomness, which is seeded from the reduced coefficients
+    unless an explicit seed is given.
     """
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    p = f.modulus
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    f = zm_reduce(f, p)
+    if not f:
+        raise ValueError("cannot factor the zero polynomial")
     if seed is None:
         seed = DEFAULT_SEED
     if seed is None:
-        seed = hash((p,) + f.coeffs) & 0x7FFFFFFF
+        seed = hash((p, *f)) & 0x7FFFFFFF
     rng = random.Random(seed)
-    out: list[tuple[ModPoly, int]] = []
-    for sqf, mult in _gf_squarefree_list(zm_monic(f.coeffs, p), p):
+    out: list[tuple[list[int], int]] = []
+    for sqf, mult in _gf_squarefree_list(zm_monic(f, p), p):
         for block, d in _gf_distinct_degree(sqf, p):
             for irr in _gf_equal_degree(block, d, p, rng):
-                out.append((ModPoly(p, tuple(irr)), mult))
-    out.sort(key=lambda t: _sort_key(t[0].coeffs))
+                out.append((irr, mult))
+    out.sort(key=lambda t: _sort_key(t[0]))
     return out
 
 
@@ -229,18 +226,17 @@ def _hensel_pair(f: list[int], g: list[int], h: list[int], s: list[int], t: list
     return g, h
 
 
-def hensel_lift(f: IntPoly, factors_mod_p: list[ModPoly], p: int, k: int) -> list[list[int]]:
+def hensel_lift(f: IntPoly, factors_mod_p: list[list[int]], p: int, k: int) -> list[list[int]]:
     """Lift a coprime monic factorization of f mod p to mod p**k.
 
-    The seeds must be pairwise coprime mod p with product congruent to f.
+    The seeds are integer lists, read mod p and made monic; they must be
+    pairwise coprime mod p with product congruent to f.
     Each returned factor is congruent to its seed mod p and their product
     is congruent to f mod p**k.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    if any(g.modulus != p for g in factors_mod_p):
-        raise ValueError("modulus mismatch")
-    seeds = [zm_monic(g.coeffs, p) for g in factors_mod_p]
+    seeds = [zm_monic(zm_reduce(g, p), p) for g in factors_mod_p]
     prod = [1]
     for g in seeds:
         prod = zm_mul(prod, g, p)
@@ -330,7 +326,7 @@ def _factor_squarefree_over_Z(f: IntPoly, seed: int | None) -> list[IntPoly]:
     if degree(f) == 1:
         return [f]
     p = _good_prime(f)
-    modular = factor_mod_p(mod_reduce(f, p), seed=seed)
+    modular = factor_mod_p(f, p, seed=seed)
     if len(modular) == 1:
         return [f]
     bound = 2 * _mignotte_bound(f)
@@ -378,7 +374,7 @@ def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) 
     if any(abs(c) > MAX_COEFF for c in f):
         raise UnsupportedSizeError(f"coefficient magnitude exceeds supported envelope {MAX_COEFF}")
     if degree(f) == 0:
-        return Factorization((), 1)
+        return Factorization(())
     # a nonzero discriminant means f is already squarefree
     if disc is None:
         disc = discriminant(f)
@@ -388,7 +384,7 @@ def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) 
         for irr in _factor_squarefree_over_Z(sqf, seed):
             factors.append((tuple(irr), mult))
     factors.sort(key=lambda t: _sort_key(t[0]))
-    return Factorization(tuple(factors), 1)
+    return Factorization(tuple(factors))
 
 
 # -- Frobenius-flavored diagnostics -----------------------------------------

@@ -3,9 +3,8 @@
 Integer polynomials are plain lists of ints in ascending degree order
 (``[c0, c1, ..., cd]`` with ``cd != 0`` unless the polynomial is zero).
 Polynomials over Z/m use the same lists with the ``zm_*`` kernel, for
-any modulus m.  Prime-field polynomials are also wrapped in
-:class:`ModPoly`, which pins a modulus checked prime once, at
-``ModPoly.make`` or ``mod_reduce``, and keeps all residues reduced.
+any modulus m; a prime modulus is checked where it enters, at
+``factorint.factor_mod_p`` and ``factorint.hensel_lift``.
 """
 
 from __future__ import annotations
@@ -271,7 +270,7 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
 # for Hensel lifting.  Inputs may be unreduced Z[x] results (``mul``,
 # ``add``); outputs are reduced once per coefficient and trimmed.  Divisors
 # need a unit leading coefficient.  Nothing here tests m for primality:
-# ModPoly.make, mod_reduce and hensel_lift do, where a modulus enters.
+# factor_mod_p and hensel_lift do, where a modulus enters.
 
 
 def zm_reduce(f: list[int], m: int) -> list[int]:
@@ -374,9 +373,13 @@ def zm_derivative(f: list[int], m: int) -> list[int]:
 class ModPoly:
     """Dense polynomial over F_p; coefficients ascending, fully reduced.
 
-    A thin wrapper over the Z/m kernel.  ``make`` is the validating
-    constructor; every method builds its result through it, so a
-    composite modulus is rejected however the object was made.
+    The library no longer uses it: mod-p factoring and Hensel lifting
+    work on kernel lists.  Only ``make`` and ``mul`` remain, because the
+    benchmark's span tracer looks the class up and its self-test calls
+    both.  Removing the class waits on a benchmark change that replaces
+    the ``ModPoly`` metrics with plain-list ones.  ``make`` is the
+    validating constructor and ``mul`` builds its result through it, so
+    a composite modulus is rejected however the object was made.
     """
 
     modulus: int
@@ -388,63 +391,10 @@ class ModPoly:
             raise ValueError(f"modulus {p} is not prime")
         return ModPoly(p, tuple(zm_reduce(coeffs, p)))
 
-    @property
-    def deg(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "ModPoly") -> None:
+    def mul(self, other: "ModPoly") -> "ModPoly":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
-
-    def _wrap(self, c: list[int]) -> "ModPoly":
-        return ModPoly.make(c, self.modulus)
-
-    def add(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._wrap(add(self.coeffs, other.coeffs))
-
-    def sub(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._wrap(sub(self.coeffs, other.coeffs))
-
-    def mul(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._wrap(mul(self.coeffs, other.coeffs))
-
-    def divmod(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
-        self._check(other)
-        q, r = zm_divmod(self.coeffs, other.coeffs, self.modulus)
-        return self._wrap(q), self._wrap(r)
-
-    def rem(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._wrap(zm_rem(self.coeffs, other.coeffs, self.modulus))
-
-    def monic(self) -> "ModPoly":
-        return self._wrap(zm_monic(self.coeffs, self.modulus))
-
-    def gcd(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        return self._wrap(zm_gcd(self.coeffs, other.coeffs, self.modulus))
-
-    def pow_mod(self, exponent: int, modpoly: "ModPoly") -> "ModPoly":
-        """self**exponent reduced modulo modpoly, by repeated squaring."""
-        self._check(modpoly)
-        return self._wrap(zm_pow_mod(self.coeffs, exponent, modpoly.coeffs, self.modulus))
-
-    def derivative(self) -> "ModPoly":
-        return self._wrap(derivative(self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        return evaluate(self.coeffs, x) % self.modulus
-
-
-def mod_reduce(f: IntPoly, p: int) -> ModPoly:
-    """Coefficientwise reduction of f modulo the prime p."""
-    return ModPoly.make(f, p)
+        return ModPoly.make(mul(self.coeffs, other.coeffs), self.modulus)
 
 
 def poly_to_string(f: IntPoly, var: str = "x") -> str:

@@ -9,7 +9,7 @@ import contextlib
 import random
 from fractions import Fraction
 
-from doldseq.dold import dold_violations, empirical_fail_lower, fail_report, power_fail_bound, table_bounds
+from doldseq.dold import fail_report, power_fail_bound, scan, table_bounds
 from doldseq.factorint import factor_over_Z, root_density
 from doldseq.numth import factorize, mobius, primes_up_to, radical_int
 from doldseq.polyring import discriminant, mul, normalize
@@ -59,7 +59,7 @@ def test_criterion_2_fibonacci_and_lucas():
         assert not structure_test(analyze(fib)).almost
         assert fail_report(fib, horizon=50).infinite
         lucas = make_recurrence([1, 1], [1, 3])
-        assert dold_violations(sequence_view(lucas), 300) == []
+        assert scan(sequence_view(lucas), 300).violations == ()
         report = fail_report(lucas, horizon=300)
         assert dict(report.upper_bounds)["gcd"] == 1
         assert report.exact == 1
@@ -82,7 +82,7 @@ def test_criterion_4_power_subsequence():
         spec = make_recurrence([0, 10, 0, -1], [1, 0, 9, 0])
         assert not structure_test(analyze(spec)).almost
         view = power_subsequence(sequence_view(spec), 4)
-        lower = empirical_fail_lower(view, 6)
+        lower = scan(view, 6).empirical_lower
         assert lower == 6
         assert discriminant([1, 0, -10, 0, 1]) == 147456
         assert radical_int(147456) == 6
@@ -96,7 +96,7 @@ def test_criterion_4_power_subsequence():
 def test_criterion_5_square_discriminant_family():
     with criterion(5, "square-discriminant family: every p | delta divides the lower bound"):
         for delta in range(2, 31):
-            lower = empirical_fail_lower(sequence_view(square_disc_family(delta)), 50)
+            lower = scan(sequence_view(square_disc_family(delta)), 50).empirical_lower
             for p, _ in factorize(delta):
                 assert lower % p == 0, (delta, p, lower)
 
@@ -154,7 +154,7 @@ def test_criterion_7_multiplier_suites():
             disc = (a - b) ** 2
             c = abs(spec.coefficients[1]) * radical_int(disc)
             scaled = scaled_view(sequence_view(spec), c, 200)
-            assert dold_violations(scaled, 200) == [], (a, b, spec.initial)
+            assert scan(scaled, 200).violations == (), (a, b, spec.initial)
             done += 1
         # non-square-discriminant quadratics with equal root coefficients,
         # scaled by |2 r_2| * rad(|disc|)
@@ -171,7 +171,7 @@ def test_criterion_7_multiplier_suites():
                 continue
             c = abs(2 * spec.coefficients[1]) * radical_int(abs(disc))
             scaled = scaled_view(sequence_view(spec), c, 200)
-            assert dold_violations(scaled, 200) == [], (f, k)
+            assert scan(scaled, 200).violations == (), (f, k)
             done += 1
         # square-index subsequences of arbitrary quadratics, scaled by
         # |r_2 * disc| * rad(|disc|)
@@ -188,13 +188,13 @@ def test_criterion_7_multiplier_suites():
             c = abs(r2 * disc) * radical_int(abs(disc))
             squares = power_subsequence(sequence_view(spec), 2)
             scaled = scaled_view(squares, c, 12)
-            assert dold_violations(scaled, 12) == [], (r1, r2, spec.initial)
+            assert scan(scaled, 12).violations == (), (r1, r2, spec.initial)
             done += 1
         # trace sequences of irreducibles are Dold-clean unscaled
         for _ in range(50):
             f = random_irreducible(rng, rng.randrange(1, 6))
             tr = trace_sequence(f).view
-            assert dold_violations(tr, 200) == [], f
+            assert scan(tr, 200).violations == (), f
 
 
 def test_criterion_8_factorization():

@@ -30,7 +30,7 @@ def validate(out: str):
 def test_parse_bfile_fibonacci_prefix():
     bf = parse_bfile("1 1\n2 1\n3 2\n")
     assert bf.entries == ((1, 1), (2, 1), (3, 2))
-    assert bf.contiguous and bf.offset == 1
+    assert bf.offset == 1
 
 
 def test_parse_bfile_comment_and_single_entry():
@@ -39,8 +39,9 @@ def test_parse_bfile_comment_and_single_entry():
 
 
 def test_parse_bfile_non_contiguous():
+    # a gap is not a parse error; bfile-check cuts the contiguous prefix
     bf = parse_bfile("1 1\n3 2\n")
-    assert not bf.contiguous
+    assert bf.entries == ((1, 1), (3, 2)) and bf.offset == 1
 
 
 def test_parse_bfile_errors():
@@ -441,6 +442,26 @@ def test_spec_file_input(run_cli, tmp_path):
     code, out = run_cli(["fail", "--spec", str(spec)])
     assert code == 0
     assert loads_report(out)["exact"] == 6
+    # plain JSON integers, alone or mixed with decimal strings, read the same
+    for doc in ({"coeffs": [12, 3], "initial": [2, 25]}, {"coeffs": ["12", 3], "initial": [2, "25"]}):
+        spec.write_text(json.dumps(doc))
+        assert run_cli(["fail", "--spec", str(spec)]) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1.5, 1.9], [1.0, 1.0], [True, True], True, None, [None, 1], [[1], [1]], "11", {"0": 1, "1": 1}],
+    ids=["floats", "integral-floats", "bools", "bool", "null", "null-member", "nested", "bare-string", "object"],
+)
+@pytest.mark.parametrize("key", ["coeffs", "initial"])
+def test_spec_file_rejects_non_integer_lists(run_cli, tmp_path, key, value):
+    doc = {"coeffs": [1, 1], "initial": [1, 1], key: value}
+    spec = tmp_path / "rec.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_cli(["gen", "--spec", str(spec), "--horizon", "5"])
+    assert code == 1
+    assert "malformed recurrence document" in loads_report(out)["error"]
+    validate(out)
 
 
 def test_human_output(run_cli):
@@ -524,6 +545,9 @@ def test_bfile_check_powers_of_two(run_cli, tmp_path):
     assert code == 0
     doc = loads_report(out)
     assert doc["dold_violations"] == [] and doc["sign_violations"] == []
+    assert doc["contiguous"] is True and doc["warnings"] == []
+    # a bare sequence gets no verdict and no upper bound
+    assert doc["verdict"] == "unknown" and "upper_bounds" not in doc
     validate(out)
 
 

@@ -8,16 +8,12 @@ import pytest
 from doldseq.cli import parse_bfile
 from doldseq.dold import (
     classify,
-    dold_violations,
-    empirical_fail_lower,
     fail_report,
     mobius_sum,
     mobius_sums,
     power_fail_bound,
     prime_power_check,
-    raw_report,
     scan,
-    sign_violations,
     table_bounds,
 )
 from doldseq.numth import mobius, primes_up_to
@@ -92,10 +88,10 @@ def test_scan_horizon_edges():
 
 
 def test_dold_violations_examples(lucas, example_seq, fibonacci):
-    assert dold_violations(sequence_view(lucas), 300) == []
-    vs = dold_violations(sequence_view(example_seq), 3)
+    assert scan(sequence_view(lucas), 300).violations == ()
+    vs = scan(sequence_view(example_seq), 3).violations
     assert [(v.n, v.deficiency) for v in vs] == [(2, 2), (3, 3)]
-    vf = dold_violations(sequence_view(fibonacci), 3)
+    vf = scan(sequence_view(fibonacci), 3).violations
     assert [(v.n, v.deficiency) for v in vf] == [(3, 3)]
 
 
@@ -111,15 +107,15 @@ def test_prime_power_check_examples(example_seq, lucas, fibonacci):
 
 def test_sign_violations_examples():
     powers = raw_view([2**n for n in range(1, 101)])
-    assert sign_violations(powers, 100) == []
-    assert sign_violations(raw_view([5] * 100), 100) == []
-    assert 2 in sign_violations(raw_view([1, 0, 0, 0]), 4)
+    assert scan(powers, 100).sign_violations == ()
+    assert scan(raw_view([5] * 100), 100).sign_violations == ()
+    assert 2 in scan(raw_view([1, 0, 0, 0]), 4).sign_violations
 
 
 def test_empirical_fail_lower_examples(example_seq, lucas):
-    assert empirical_fail_lower(sequence_view(example_seq), 200) % 6 == 0
-    assert empirical_fail_lower(sequence_view(lucas), 300) == 1
-    assert empirical_fail_lower(sequence_view(square_disc_family(6)), 50) % 6 == 0
+    assert scan(sequence_view(example_seq), 200).empirical_lower % 6 == 0
+    assert scan(sequence_view(lucas), 300).empirical_lower == 1
+    assert scan(sequence_view(square_disc_family(6)), 50).empirical_lower % 6 == 0
 
 
 def test_table_bounds_examples(example_seq, order4_seq, lucas):
@@ -175,12 +171,6 @@ def test_fail_report_bound_consistency(example_seq, order4_seq, lucas):
             assert report.exact == report.empirical_lower
 
 
-def test_raw_report_unknown_verdict():
-    report = raw_report(raw_view([1, 1, 2, 3, 5]), 5)
-    assert report.verdict == "unknown"
-    assert report.upper_bounds == ()
-
-
 def test_power_fail_bound_examples(order4_variant, fibonacci):
     b = power_fail_bound(analyze(order4_variant), 4)
     assert b is not None
@@ -202,13 +192,13 @@ def test_power_scan_sampled_indices(lucas):
     for t in (2, 3, 4):
         horizon = int(2000 ** (1 / t))
         view = power_subsequence(base, t)
-        assert dold_violations(view, horizon) == []
+        assert scan(view, horizon).violations == ()
 
 
 def test_integer_power_sequences_pass_all_checks():
     for x in range(-3, 4):
         view = raw_view([x**n for n in range(1, 301)])
-        assert dold_violations(view, 300) == []
+        assert scan(view, 300).violations == ()
 
 
 def _differential_views(seed):

@@ -7,7 +7,7 @@ from decimal import Decimal
 import pytest
 
 from doldseq import cli
-from doldseq.dold import fail_report, mobius_sums, raw_report, scan
+from doldseq.dold import fail_report, mobius_sums, scan
 from doldseq.recurrence import (
     EXACT,
     TermSizeExceeded,
@@ -139,7 +139,7 @@ def _results():
         scan(view, 200),
         scan(power_subsequence(sequence_view(spec), 2), 20),
         fail_report(make_recurrence([12, 3], [2, 25]), horizon=100),
-        raw_report(raw, 60),
+        scan(raw, 60),
         mobius_sums(view, 200),
         [view.term(n) for n in range(1, 201)],
         [str(v) for v in view.terms(200)],

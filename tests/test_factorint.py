@@ -17,7 +17,19 @@ from doldseq.factorint import (
     root_density,
 )
 from doldseq.numth import UnsupportedSizeError, legendre, primes_up_to
-from doldseq.polyring import ModPoly, degree, discriminant, evaluate, mod_reduce, mul, normalize
+from doldseq.polyring import (
+    degree,
+    discriminant,
+    evaluate,
+    mul,
+    normalize,
+    sub,
+    zm_gcd,
+    zm_monic,
+    zm_mul,
+    zm_pow_mod,
+    zm_reduce,
+)
 
 
 def poly_from_roots(roots):
@@ -112,44 +124,49 @@ def factorization_multiset(fz):
 
 def test_factor_mod_p_examples():
     # x^2 - x - 1 irreducible over F_2
-    fac2 = factor_mod_p(mod_reduce([-1, -1, 1], 2))
-    assert len(fac2) == 1 and fac2[0][0].deg == 2 and fac2[0][1] == 1
+    fac2 = factor_mod_p([-1, -1, 1], 2)
+    assert fac2 == [([1, 1, 1], 1)]
     # (x + 2)^2 over F_5
-    fac5 = factor_mod_p(mod_reduce([-1, -1, 1], 5))
-    assert fac5 == [(ModPoly.make([2, 1], 5), 2)]
+    fac5 = factor_mod_p([-1, -1, 1], 5)
+    assert fac5 == [([2, 1], 2)]
     # x^4 - 10 x^2 + 1 splits into proper factors over F_7
-    fac7 = factor_mod_p(mod_reduce([1, 0, -10, 0, 1], 7))
-    assert all(g.deg < 4 for g, _ in fac7)
+    fac7 = factor_mod_p([1, 0, -10, 0, 1], 7)
+    assert all(len(g) - 1 < 4 for g, _ in fac7)
 
 
 def test_factor_mod_p_product_and_irreducibility():
     rng = random.Random(61)
     for _ in range(40):
         p = rng.choice([2, 3, 5, 7, 11, 13])
-        f = ModPoly.make([rng.randrange(p) for _ in range(rng.randrange(2, 7))] + [1], p)
-        fac = factor_mod_p(f)
-        prod = ModPoly.make([1], p)
+        f = [rng.randrange(-p, 2 * p) for _ in range(rng.randrange(2, 7))] + [1]
+        fac = factor_mod_p(f, p)
+        prod = [1]
         for g, e in fac:
             for _ in range(e):
-                prod = prod.mul(g)
-        assert prod.coeffs == f.monic().coeffs
-        x = ModPoly.make([0, 1], p)
+                prod = zm_mul(prod, g, p)
+        assert prod == zm_monic(zm_reduce(f, p), p)
+        x = [0, 1]
         for g, _ in fac:
+            assert g[-1] == 1 and g == zm_reduce(g, p)
             # an irreducible of degree k has no roots in F_{p^j} for j < k
-            for j in range(1, g.deg):
-                frob = x.pow_mod(p**j, g)
-                assert g.gcd(frob.sub(x.rem(g))).deg == 0
+            for j in range(1, len(g) - 1):
+                frob = zm_pow_mod(x, p**j, g, p)
+                assert zm_gcd(g, sub(frob, x), p) == [1]
 
 
 def test_factor_mod_p_deterministic():
-    f = mod_reduce([1, 0, -10, 0, 1], 7)
-    assert factor_mod_p(f) == factor_mod_p(f)
-    assert factor_mod_p(f, seed=1) == factor_mod_p(f, seed=99)
+    f = [1, 0, -10, 0, 1]
+    assert factor_mod_p(f, 7) == factor_mod_p(f, 7)
+    assert factor_mod_p(f, 7, seed=1) == factor_mod_p(f, 7, seed=99)
+    # the derived seed depends only on the reduced coefficients
+    assert factor_mod_p([8, 7, -3, 14, 1], 7) == factor_mod_p(f, 7)
 
 
 def test_factor_mod_p_rejects_zero():
     with pytest.raises(ValueError):
-        factor_mod_p(ModPoly.make([], 5))
+        factor_mod_p([], 5)
+    with pytest.raises(ValueError):
+        factor_mod_p([5, 10], 5)
 
 
 # -- factor_over_Z -----------------------------------------------------------
@@ -201,14 +218,14 @@ def test_kronecker_oracle_sample():
 
 def test_hensel_lift_example():
     f = [7, -8, 1]  # (x - 1)(x - 7)
-    seeds = [ModPoly.make([-1, 1], 5), ModPoly.make([-2, 1], 5)]
+    seeds = [[-1, 1], [-2, 1]]
     lifted = hensel_lift(f, seeds, 5, 2)
     assert sorted(lifted) == sorted([[24, 1], [18, 1]])  # x - 1 and x - 7 mod 25
 
 
 def test_hensel_lift_fixed_point():
     f = [7, -8, 1]
-    seeds = [ModPoly.make([-1, 1], 11), ModPoly.make([-7, 1], 11)]
+    seeds = [[-1, 1], [-7, 1]]
     lifted = hensel_lift(f, seeds, 11, 3)
     m = 11**3
     assert sorted(lifted) == sorted([[(-1) % m, 1], [(-7) % m, 1]])
@@ -216,9 +233,9 @@ def test_hensel_lift_fixed_point():
 
 def test_hensel_lift_k1_returns_seeds():
     f = [7, -8, 1]
-    seeds = [ModPoly.make([-1, 1], 5), ModPoly.make([-2, 1], 5)]
+    seeds = [[4, 1], [3, 1]]
     lifted = hensel_lift(f, seeds, 5, 1)
-    assert sorted(lifted) == sorted([list(s.coeffs) for s in seeds])
+    assert sorted(lifted) == sorted(seeds)
 
 
 def test_hensel_lift_product_congruence():
@@ -227,7 +244,7 @@ def test_hensel_lift_product_congruence():
         roots = rng.sample(range(-8, 9), rng.randrange(2, 4))
         f = poly_from_roots(roots)
         p = next(q for q in primes_up_to(100).primes if discriminant(f) % q)
-        seeds = [g for g, _ in factor_mod_p(mod_reduce(f, p))]
+        seeds = [g for g, _ in factor_mod_p(f, p)]
         k = rng.randrange(2, 5)
         lifted = hensel_lift(f, seeds, p, k)
         m = p**k
@@ -240,9 +257,9 @@ def test_hensel_lift_product_congruence():
 def test_hensel_lift_rejects_bad_seeds():
     f = [7, -8, 1]
     with pytest.raises(ValueError):
-        hensel_lift(f, [ModPoly.make([-1, 1], 5), ModPoly.make([-1, 1], 5)], 5, 2)
+        hensel_lift(f, [[-1, 1], [-1, 1]], 5, 2)
     with pytest.raises(ValueError):
-        hensel_lift(f, [ModPoly.make([-1, 1], 5), ModPoly.make([-3, 1], 5)], 5, 2)
+        hensel_lift(f, [[-1, 1], [-3, 1]], 5, 2)
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -262,7 +279,7 @@ def test_irreducibility_witness_reverified():
         if p is None:
             continue
         assert discriminant(f) % p != 0
-        assert len(factor_mod_p(mod_reduce(f, p))) == 1
+        assert len(factor_mod_p(f, p)) == 1
 
 
 def test_irreducibility_witness_rejects_nonsquarefree():
@@ -335,13 +352,13 @@ def test_given_discriminant_agrees_with_computed():
 
 
 def referee_degrees(f, p):
-    return tuple(sorted(g.deg for g, e in factor_mod_p(mod_reduce(f, p)) for _ in range(e)))
+    return tuple(sorted(len(g) - 1 for g, e in factor_mod_p(f, p) for _ in range(e)))
 
 
 def referee_witness(f, bound):
     disc = discriminant(f)
     for p in primes_up_to(bound).primes:
-        if disc % p and len(factor_mod_p(mod_reduce(f, p))) == 1:
+        if disc % p and len(factor_mod_p(f, p)) == 1:
             return p
     return None
 
@@ -351,7 +368,7 @@ def referee_splitting_degree(f, disc, bound):
     m = 1
     for p in primes_up_to(bound).primes:
         if disc % p:
-            m = math.lcm(m, *(g.deg for g, _ in factor_mod_p(mod_reduce(f, p))))
+            m = math.lcm(m, *(len(g) - 1 for g, _ in factor_mod_p(f, p)))
             if m >= cap:
                 return cap
     return m

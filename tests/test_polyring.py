@@ -19,7 +19,6 @@ from doldseq.polyring import (
     divmod_exact,
     evaluate,
     gcd_monic,
-    mod_reduce,
     mul,
     normalize,
     power_sums,
@@ -196,36 +195,6 @@ def test_power_sums_satisfy_recurrence():
 
 
 # -- mod-p polynomials -------------------------------------------------------
-
-
-def test_mod_reduce_examples():
-    assert mod_reduce([-1, -1, 1], 2).coeffs == (1, 1, 1)
-    assert mod_reduce([-3, -12, 1], 3).coeffs == (0, 0, 1)
-    assert mod_reduce([1, 0, -10, 0, 1], 5).coeffs == (1, 0, 0, 0, 1)
-
-
-def test_modpoly_core_examples():
-    g = ModPoly.make([-1, 0, 1], 5).gcd(ModPoly.make([-1, 1], 5))
-    assert g.coeffs == (4, 1)  # x - 1 over F_5
-    x3 = ModPoly.make([0, 1], 3)
-    assert x3.mul(x3).coeffs == (0, 0, 1)
-    # x^n = F_n x + F_{n-1} mod (x^2 - x - 1), so x^5 = 5x + 3 = 3 over F_5
-    # (the modulus is (x - 3)^2 over F_5, so Frobenius is not the identity here)
-    x5 = ModPoly.make([0, 1], 5)
-    assert x5.pow_mod(5, ModPoly.make([-1, -1, 1], 5)).coeffs == (3,)
-
-
-def test_modpoly_divmod_roundtrip():
-    rng = random.Random(53)
-    for _ in range(50):
-        p = rng.choice([2, 3, 5, 7, 13])
-        f = ModPoly.make([rng.randrange(p) for _ in range(rng.randrange(1, 7))], p)
-        g = ModPoly.make([rng.randrange(p) for _ in range(rng.randrange(1, 5))], p)
-        if g.is_zero():
-            continue
-        q, r = f.divmod(g)
-        assert q.mul(g).add(r).coeffs == f.coeffs
-        assert r.deg < g.deg or r.is_zero()
 
 
 def test_modpoly_rejects_composite_modulus():

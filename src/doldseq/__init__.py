@@ -17,8 +17,6 @@ from .dold import (
 )
 from .factorint import (
     Factorization,
-    FactorPattern,
-    degree_pattern,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,

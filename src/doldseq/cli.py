@@ -316,8 +316,15 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _spec_ints(doc: dict, key: str) -> list[int]:
+_SPEC_SHAPE = "the document must be a JSON object with 'coeffs' and 'initial' lists"
+
+
+def _spec_ints(doc: object, key: str) -> list[int]:
     """doc[key] as ints: a JSON list of integers (not booleans) or strings int() reads."""
+    if not isinstance(doc, dict):
+        raise TypeError(_SPEC_SHAPE)
+    if key not in doc:
+        raise TypeError(f"{_SPEC_SHAPE}; {key!r} is missing")
     values = doc[key]
     if not isinstance(values, list) or not all(type(c) is int or type(c) is str for c in values):
         raise TypeError(f"{key!r} must be a list of integers or integer strings")
@@ -331,7 +338,7 @@ def _load_spec(args) -> recurrence.RecurrenceSpec:
                 doc = json.load(fh)
             coeffs = _spec_ints(doc, "coeffs")
             initial = _spec_ints(doc, "initial")
-        except (OSError, KeyError, ValueError, TypeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise InputError(f"malformed recurrence document: {exc}") from None
     else:
         if not args.coeffs or not args.initial:

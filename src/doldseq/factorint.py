@@ -8,9 +8,11 @@ seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
-search, ``degree_pattern`` and the splitting-degree search in ``dold``
-need just the factor degrees, which ``_gf_degrees`` reads off the
-squarefree and distinct-degree splits without equal-degree splitting.
+search and the splitting-degree search in ``dold`` need just the factor
+degrees, which ``_gf_degrees`` reads off the squarefree and
+distinct-degree splits without equal-degree splitting, and
+``root_density`` needs just gcd(f, x^p - x).  Each Frobenius power
+x^p mod (f, p) on these paths is one ``polyring.zm_pow_mod`` call.
 """
 
 from __future__ import annotations
@@ -72,15 +74,6 @@ class Factorization:
 
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
-
-
-@dataclass(frozen=True)
-class FactorPattern:
-    """Multiset of mod-p irreducible factor degrees; Frobenius cycle type at unramified p."""
-
-    prime: int
-    pattern: tuple[int, ...]
-    ramified: bool
 
 
 def _sort_key(coeffs: tuple[int, ...]):
@@ -420,17 +413,6 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
     return None
 
 
-def degree_pattern(f: IntPoly, p: int) -> FactorPattern:
-    """Degrees (with multiplicity) of the irreducible mod-p factors of f."""
-    f = normalize(f)
-    disc = discriminant(f)
-    if disc == 0:
-        raise ValueError("degree_pattern requires a squarefree polynomial")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return FactorPattern(prime=p, pattern=_gf_degrees(f, p), ramified=disc % p == 0)
-
-
 def _has_root_mod_p(f: list[int], p: int) -> bool:
     # f has a root in F_p iff gcd(f, x^p - x) is nontrivial
     x = [0, 1]
@@ -446,7 +428,8 @@ def root_density(f: IntPoly, prime_bound: int) -> Fraction:
         raise ValueError("prime bound must be at least 100")
     _check_prime_bound(prime_bound)
     f = normalize(f)
-    disc = discriminant(squarefree_part(f))
+    # ramification is read from the squarefree part, which is f itself when disc(f) != 0
+    disc = discriminant(f) or discriminant(squarefree_part(f))
     hits = 0
     total = 0
     for p in primes_up_to(prime_bound).primes:

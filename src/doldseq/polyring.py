@@ -10,6 +10,7 @@ any modulus m; a prime modulus is checked where it enters, at
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -314,36 +315,97 @@ def zm_mulmod(f: list[int], g: list[int], h: list[int], m: int) -> list[int]:
     return _divide(mul(f, g), h, m, None)
 
 
-def _square(f: list[int]) -> list[int]:
-    # f*f over Z with each cross product formed once and doubled
-    n = len(f)
-    out = [0] * (2 * n - 1)  # [] for the zero polynomial
-    for i in range(n):
-        a = f[i]
-        if a:
-            out[2 * i] += a * a
-            twice = a + a
-            for j in range(i + 1, n):
-                out[i + j] += twice * f[j]
-    return out
+def _pack(coeffs: list[int], width: int) -> int:
+    # coeffs[i] in bits [width*i, width*(i+1)); each must be in [0, 2**width)
+    x = 0
+    for c in reversed(coeffs):
+        x = x << width | c
+    return x
 
 
 def zm_pow_mod(f: list[int], e: int, h: list[int], m: int) -> list[int]:
-    """f**e mod h over Z/m, squaring left to right.
+    """f**e mod h over Z/m, squaring left to right on packed integers.
 
-    A multiplication by the base is a one-slot shift when the base is x,
-    as in the Frobenius powers x**p of mod-p factoring.
+    f**0 is 1 reduced mod h, so it is [] when h is a unit constant.
+
+    Packing (Kronecker substitution).  Let d = deg h.  A polynomial
+    a_0 + ... + a_(d-1) x**(d-1) is the int sum of a_i * 2**(W*i): slot
+    i holds a_i in W bits.  While every slot stays in [0, 2**W), adding
+    and multiplying packed ints adds and multiplies the polynomials, and
+    shifts and masks select runs of slots.  Each square, and each
+    multiplication by the base, is one int multiply T = A*B followed by
+    the packed reduction below.  Slots need not be fully reduced: the
+    running power keeps them in [0, 2m), the base in [0, m).
+
+    Reduction.  h is made monic.  For T of degree <= 2d - 2, T = Q*h + R
+    with deg Q <= d - 2 and deg R < d.  Reversing coefficients gives
+    rev(T) = rev(Q) * rev(h) mod x**(d-1), and rev(h) has constant term
+    1, so rev(Q) = rev(T) * g mod x**(d-1) with g = 1/rev(h) mod
+    x**(d-1).  Written out, Q_j = sum_k g_k * T_(d+j+k): the
+    correlation of the high slots H = T >> W*d with g.  Packing g
+    reversed, g_k at slot d-1-k, puts Q_j at slot d-1+j of H*G, so
+    Q = (H*G) >> W*(d-1) is one multiply.  Then R = T - Q*h agrees with
+    T + Q*N on the low d slots, where N = -(h_0 .. h_(d-1)) mod m has
+    slots in [0, m): one more multiply, every term nonnegative, so no
+    slot ever borrows.  For d <= 1, G and Q are 0; for d = 0 no slot is
+    kept at all.
+
+    Barrett step (Barrett 1986).  With 2**V > 4(d + 1) m**2, W = 2V and
+    mu = floor(2**V / m), a slot x < 2**V becomes x - q*m with
+    q = floor(x*mu / 2**V).  Since q <= x/m, q never overshoots and the
+    slot stays >= 0; since q > x*mu/2**V - 1 >= x/m - x/2**V - 1
+    > x/m - 2, it ends below 2m.  Packed, X*mu has slots
+    x_i*mu < 2**(2V) = 2**W, so (X*mu) >> V leaves floor(x_i*mu / 2**V)
+    < 2**V in the low V bits of slot i (slot i + 1 starts W - V = V bits
+    higher): one mask reads every q_i, and X - Q*m subtracts
+    q_i*m <= x_i within each slot.
+
+    No slot overflows.  A slot of a product sums at most d terms:
+    T = A*A has slots below d(2m)**2 = 4d m**2, T = A*base below
+    2d m**2.  After a Barrett step T has slots below 2m, so H*G has
+    slots below (d - 1)(2m)m, and after a Barrett step Q has slots
+    below 2m.  The low slots of T + Q*N are then below
+    2m + (d - 1)(2m)m <= 2d m**2.  Every value is below 2**V <= 2**W
+    before its Barrett step, so the last step returns the power to
+    [0, 2m).
     """
+    d = len(h) - 1
     if e == 0:
-        return [1]
-    base = zm_rem(f, h, m)
-    shift = base == [0, 1]
-    result = base
+        f = [1]
+    # an f shorter than h is its own remainder; zm_rem also rejects h = []
+    base = zm_rem(f, h, m) if len(f) > d else [c % m for c in f]
+    lead_inv = pow(h[-1], -1, m)
+    neg = [-c * lead_inv % m for c in h[:-1]]  # -(h_0 .. h_(d-1)) of the monic h
+    # g = 1/rev(h) mod x**(d-1): g_0 = 1, g_n = sum of -h_(d-i) * g_(n-i) over 1 <= i <= n
+    g = [1] if d > 1 else []
+    for n in range(1, d - 1):
+        g.append(sum(map(operator.mul, neg[d - n :], g)) % m)
+
+    V = (4 * (d + 1) * m * m).bit_length()
+    W = 2 * V
+    mu = (1 << V) // m
+    low_slots = (1 << (W * d)) - 1
+    # V one-bits at the bottom of each slot that a product can fill
+    q_bits = ((1 << V) - 1) * (((1 << (W * 2 * d)) - 1) // ((1 << W) - 1))
+    ginv = _pack(g[::-1], W) << W
+    neg_low = _pack(neg, W)
+    high, q_shift = W * d, W * max(d - 1, 0)
+
+    def fold(t: int) -> int:
+        # three Barrett steps: on T, on the quotient Q, on the remainder
+        t -= ((t * mu >> V) & q_bits) * m
+        q = (t >> high) * ginv >> q_shift
+        q -= ((q * mu >> V) & q_bits) * m
+        r = (t + q * neg_low) & low_slots
+        return r - ((r * mu >> V) & q_bits) * m
+
+    packed = acc = _pack(base, W)
     for bit in bin(e)[3:]:
-        result = _divide(_square(result), h, m, None)
+        acc = fold(acc * acc)
         if bit == "1":
-            result = _divide([0, *result] if shift else mul(result, base), h, m, None)
-    return result
+            acc = fold(acc * packed)
+    mask = (1 << W) - 1
+    return _trim([(acc >> (W * i) & mask) % m for i in range(d)])
 
 
 def zm_monic(f: list[int], m: int) -> list[int]:

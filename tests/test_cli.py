@@ -103,11 +103,16 @@ def test_report_round_trip():
 
 
 # -- golden files for the documented invocations -----------------------------
+#
+# The benchmark self-test reads every top-level golden as a scan report, so
+# the goldens of the algebra commands sit in golden/algebra/.
 
 GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
     ("check_fibonacci", ["check", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "50"]),
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
+    ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
+    ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
 ]
 
 
@@ -461,6 +466,21 @@ def test_spec_file_rejects_non_integer_lists(run_cli, tmp_path, key, value):
     code, out = run_cli(["gen", "--spec", str(spec), "--horizon", "5"])
     assert code == 1
     assert "malformed recurrence document" in loads_report(out)["error"]
+    validate(out)
+
+
+@pytest.mark.parametrize(
+    "doc,missing",
+    [([1, 2], None), (5, None), ("11", None), (None, None), ({"coeffs": [1, 1]}, "initial"), ({"initial": [1, 1]}, "coeffs")],
+    ids=["list", "number", "string", "null", "no-initial", "no-coeffs"],
+)
+def test_spec_file_must_be_an_object_with_both_lists(run_cli, tmp_path, doc, missing):
+    spec = tmp_path / "rec.json"
+    spec.write_text(json.dumps(doc))
+    code, out = run_cli(["gen", "--spec", str(spec), "--horizon", "5"])
+    assert code == 1
+    shape = "malformed recurrence document: the document must be a JSON object with 'coeffs' and 'initial' lists"
+    assert loads_report(out)["error"] == (shape if missing is None else f"{shape}; {missing!r} is missing")
     validate(out)
 
 

@@ -2,14 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
-    FactorPattern,
     _gf_degrees,
-    degree_pattern,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
@@ -23,6 +22,7 @@ from doldseq.polyring import (
     evaluate,
     mul,
     normalize,
+    squarefree_part,
     sub,
     zm_gcd,
     zm_monic,
@@ -287,16 +287,14 @@ def test_irreducibility_witness_rejects_nonsquarefree():
         irreducibility_witness([4, -4, 1], 100)
 
 
-def test_degree_pattern_examples():
-    assert degree_pattern([-1, -1, 1], 2).pattern == (2,)
-    assert degree_pattern([-1, -1, 1], 2).ramified is False
-    p5 = degree_pattern([-1, -1, 1], 5)
-    assert p5.pattern == (1, 1) and p5.ramified is True
-    p11 = degree_pattern([-1, -1, 1], 11)
-    assert p11.pattern == (1, 1) and p11.ramified is False
+def test_gf_degrees_examples():
+    # x^2 - x - 1 has discriminant 5: inert at 2, ramified at 5, split at 11
+    assert _gf_degrees([-1, -1, 1], 2) == (2,)
+    assert _gf_degrees([-1, -1, 1], 5) == (1, 1)
+    assert _gf_degrees([-1, -1, 1], 11) == (1, 1)
 
 
-def test_degree_pattern_matches_legendre():
+def test_gf_degrees_matches_legendre():
     for f in ([-1, -1, 1], [1, 1, 1], [-2, 0, 1], [3, -5, 1]):
         disc = discriminant(f)
         if not factor_over_Z(f).is_irreducible():
@@ -305,7 +303,7 @@ def test_degree_pattern_matches_legendre():
             if p == 2 or disc % p == 0:
                 continue
             expected = (2,) if legendre(disc, p) == -1 else (1, 1)
-            assert degree_pattern(f, p).pattern == expected
+            assert _gf_degrees(f, p) == expected
 
 
 def test_root_density_linear_and_bounds():
@@ -317,7 +315,7 @@ def test_root_density_linear_and_bounds():
 
 def test_squarefree_fast_path_agrees_with_yun():
     # a nonzero discriminant stands in for gcd(f, f') = 1 in factor_over_Z,
-    # irreducibility_witness and degree_pattern; Yun's split is the reference
+    # irreducibility_witness and root_density; Yun's split is the reference
     from doldseq.factorint import _squarefree_decomposition
     from doldseq.polyring import degree, derivative, gcd_monic
 
@@ -406,8 +404,6 @@ def test_factor_degrees_match_full_factorization(index):
     disc = discriminant(f)
     for p in SMALL_PRIMES:  # p = 2, 3 and the primes dividing disc (f not squarefree mod p) included
         assert _gf_degrees(f, p) == referee_degrees(f, p), (f, p)
-        if disc:
-            assert degree_pattern(f, p) == FactorPattern(p, referee_degrees(f, p), disc % p == 0)
     if disc:
         assert irreducibility_witness(f, 60) == referee_witness(f, 60)
         assert _splitting_degree_multiple(f, disc, 60) == referee_splitting_degree(f, disc, 60)
@@ -422,7 +418,25 @@ def test_pool_reaches_every_case():
     assert any(referee_witness(f, 60) for f in DEGREE_POOL if degree(f) > 1 and discriminant(f))
 
 
-def test_degree_pattern_rejects_a_composite_modulus():
-    with pytest.raises(ValueError, match="not prime"):
-        degree_pattern([-1, -1, 1], 6)
+# -- root density against a brute-force root search -------------------------
 
+
+def density_pool():
+    """Monic polynomials of degree 1-8, products, biquadratics, a square factor and x."""
+    rng = random.Random(1000)
+    pool = [random_monic(rng, deg) for deg in range(1, 9)]
+    pool += [mul(random_monic(rng, 2), random_monic(rng, 3)) for _ in range(2)]
+    pool += [[(a - b) ** 2, 0, -2 * (a + b), 0, 1] for a, b in [(2, 3), (-1, 5)]]
+    g = random_monic(rng, 2)
+    pool += [mul(mul(g, g), [-3, 1]), [0, 1]]
+    return [normalize(f) for f in pool]
+
+
+@pytest.mark.parametrize("f", density_pool())
+def test_root_density_matches_root_search(f):
+    # brute force: p divides f(a) for some 0 <= a < p, over the primes not dividing
+    # the discriminant of the squarefree part
+    disc = discriminant(squarefree_part(f))
+    unramified = [p for p in primes_up_to(1000).primes if disc % p]
+    hits = sum(any(evaluate(f, a) % p == 0 for a in range(p)) for p in unramified)
+    assert root_density(f, 1000) == Fraction(hits, len(unramified))

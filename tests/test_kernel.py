@@ -137,12 +137,33 @@ def repeated_mulmod(f, e, h, m):
     return out
 
 
-@pytest.mark.parametrize("m", PRIMES + PRIME_POWERS)
+def square_and_multiply(f, e, h, m):
+    out, base = zm_rem([1], h, m), zm_rem(f, h, m)
+    for bit in bin(e)[2:]:
+        out = zm_mulmod(out, out, h, m)
+        if bit == "1":
+            out = zm_mulmod(out, base, h, m)
+    return out
+
+
+@pytest.mark.parametrize("m", PRIMES + PRIME_POWERS + [99991, 2**64 + 13])
 def test_pow_mod_matches_repeated_multiplication(m):
-    # the base x (also unreduced, as 1 + m) takes the shift step, any other base a full product
+    # the base x (also unreduced, as 1 + m) and any other base; divisors of every degree from 0
     rng = random.Random(3000 + m)
-    for _ in range(30):
-        h = random_divisor(rng, m, rng.randrange(1, 8))
+    for deg in [0, 1, *(rng.randrange(0, 8) for _ in range(28))]:
+        h = random_divisor(rng, m, deg)
         for f in ([0, 1], [0, 1 + m], random_poly(rng, m, rng.randrange(0, 8))):
             for e in [0, 1, 2, 3, rng.randrange(4, 400)]:
                 assert zm_pow_mod(f, e, h, m) == repeated_mulmod(f, e, h, m), (f, e, h)
+            # the equal-degree splitting exponent (p^d - 1)/2, far past repeated multiplication
+            e = (m**deg - 1) // 2
+            assert zm_pow_mod(f, e, h, m) == square_and_multiply(f, e, h, m), (f, e, h)
+
+
+@pytest.mark.parametrize("e", [0, 1, 5])
+def test_pow_mod_by_a_unit_constant_is_zero(e):
+    # every polynomial is 0 modulo a unit constant, f**0 = 1 included
+    for m in (2, 7, 9, 99991):
+        for c in (1, m - 1, 2 * m + 1, -1):
+            assert zm_pow_mod([0, 1], e, [c], m) == [] == zm_rem([1], [c], m)
+            assert zm_pow_mod([3, 2, 1], e, [c], m) == []

@@ -17,7 +17,7 @@ from decimal import MAX_EMAX, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import dold, factorint, recurrence
+from . import dold, recurrence
 from .factorint import root_density
 from .numth import UnsupportedSizeError
 from .polyring import normalize, poly_to_string
@@ -351,49 +351,62 @@ def _load_spec(args) -> recurrence.RecurrenceSpec:
         raise InputError(str(exc)) from None
 
 
-def _view(args, spec) -> recurrence.SequenceView:
-    return recurrence.sequence_view(spec, max_bits=args.max_bits)
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument error raises InputError, reported as that subcommand's JSON error."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+_FLAGS = {
+    "--horizon": {"type": int, "default": dold.DEFAULT_HORIZON, "help": "scan horizon N"},
+    "--max-bits": {"type": int, "default": recurrence.DEFAULT_MAX_BITS, "help": "per-term bit budget"},
+    "--prime-bound": {"type": int, "default": 1000, "help": "prime search bound X"},
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 
-    Parsing never mutates it: each parse_args returns a fresh Namespace.
+    Parsing never mutates it.  Each subcommand declares only the flags it reads.
     """
     parser = argparse.ArgumentParser(prog="doldseq", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=True, help="machine-readable output (default)")
-    common.add_argument("--human", action="store_true", help="line-oriented human output")
-    common.add_argument("--horizon", type=int, default=dold.DEFAULT_HORIZON, help="scan horizon N")
-    common.add_argument("--max-bits", type=int, default=recurrence.DEFAULT_MAX_BITS, help="per-term bit budget")
-    common.add_argument("--prime-bound", type=int, default=1000, help="prime search bound X")
-    common.add_argument("--seed", type=int, default=None, help="factorization determinism override")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    def with_spec(p):
-        p.add_argument("--coeffs", help="recursion coefficients r1,...,rd")
-        p.add_argument("--initial", help="initial terms U1,...,Ud")
-        p.add_argument("--spec", help="JSON recurrence document {\"coeffs\": [...], \"initial\": [...]}")
+    def add_parser(name, help, *flags, spec=True):
+        p = sub.add_parser(name, help=help)
+        if spec:
+            p.add_argument("--coeffs", help="recursion coefficients r1,...,rd")
+            p.add_argument("--initial", help="initial terms U1,...,Ud")
+            p.add_argument("--spec", help="JSON recurrence document {\"coeffs\": [...], \"initial\": [...]}")
+        p.add_argument("--human", action="store_true", help="line-oriented human output")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    with_spec(add_parser("gen", help="generate exact terms"))
-    with_spec(add_parser("check", help="Dold and sign condition scan"))
-    with_spec(add_parser("fail", help="full fail-factor report"))
-    with_spec(add_parser("classify", help="case-table classification"))
-    power = with_spec(add_parser("power", help="analysis of the subsequence at indices n**t"))
+    scan = ("--horizon", "--max-bits")
+    add_parser("gen", "generate exact terms", *scan)
+    add_parser("check", "Dold and sign condition scan", *scan)
+    add_parser("fail", "full fail-factor report", *scan, "--prime-bound")
+    add_parser("classify", "case-table classification", "--prime-bound")
+    power = add_parser("power", "analysis of the subsequence at indices n**t", *scan)
     power.add_argument("--t", type=int, required=True)
-    family = add_parser("family", help="order-2 family with square discriminant delta**2")
+    family = add_parser("family", "order-2 family with square discriminant delta**2", *scan, spec=False)
     family.add_argument("--delta", type=int, required=True)
-    with_spec(add_parser("witness", help="irreducibility-witness (convenient) check"))
-    density = add_parser("density", help="mod-p root density diagnostic")
+    add_parser("witness", "irreducibility-witness (convenient) check", "--prime-bound")
+    density = add_parser("density", "mod-p root density diagnostic", "--prime-bound", spec=False)
     density.add_argument("--poly", required=True, help="monic polynomial coefficients c0,c1,...,1 ascending")
-    bfile = add_parser("bfile-check", help="Dold and sign scan of an OEIS-style b-file")
+    bfile = add_parser("bfile-check", "Dold and sign scan of an OEIS-style b-file", "--horizon", spec=False)
     bfile.add_argument("file")
     return parser
+
+
+def _at_least(flag: str, value: int, least: int, note: str = "") -> int:
+    """value, once checked to be at least `least`; an InputError names the flag otherwise."""
+    if value < least:
+        raise InputError(f"{flag} must be at least {least}{note}, got {value}")
+    return value
 
 
 # -- subcommand bodies -------------------------------------------------------
@@ -404,54 +417,57 @@ def _echo(spec) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    view = _view(args, spec)
-    return {"input": _echo(spec), "terms": view.terms(args.horizon)}
+    view = recurrence.sequence_view(spec, max_bits=args.max_bits)
+    return {"input": _echo(spec), "terms": view.terms(horizon)}
 
 
 def _cmd_check(args) -> dict:
+    horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    result = dold.scan(_view(args, spec), args.horizon)
+    result = dold.scan(recurrence.sequence_view(spec, max_bits=args.max_bits), horizon)
     return {
         "input": _echo(spec),
-        "horizon": args.horizon,
+        "horizon": horizon,
         "dold_violations": result.violations,
         "sign_violations": result.sign_violations,
     }
 
 
 def _cmd_fail(args) -> dict:
+    horizon, prime_bound = _at_least("--horizon", args.horizon, 1), _at_least("--prime-bound", args.prime_bound, 2)
     spec = _load_spec(args)
-    report = dold.fail_report(spec, horizon=args.horizon, max_bits=args.max_bits, prime_bound=args.prime_bound)
+    report = dold.fail_report(spec, horizon=horizon, max_bits=args.max_bits, prime_bound=prime_bound)
     return {"input": _echo(spec), **_fail_doc(report)}
 
 
 def _cmd_classify(args) -> dict:
+    prime_bound = _at_least("--prime-bound", args.prime_bound, 2)
     spec = _load_spec(args)
-    row = dold.classify(recurrence.analyze(spec), prime_bound=args.prime_bound)
+    row = dold.classify(recurrence.analyze(spec), prime_bound=prime_bound)
     return {"input": _echo(spec), "row": row.row_id, "condition": row.condition, "details": row.details}
 
 
 def _cmd_power(args) -> dict:
-    if args.t < 1:
-        raise InputError(f"--t must be at least 1, got {args.t}")
+    horizon, t = _at_least("--horizon", args.horizon, 1), _at_least("--t", args.t, 1)
     spec = _load_spec(args)
     analysis = recurrence.analyze(spec)
-    sub_view = recurrence.power_subsequence(_view(args, spec), args.t)
+    sub_view = recurrence.power_subsequence(recurrence.sequence_view(spec, max_bits=args.max_bits), t)
     verdict = recurrence.structure_test(analysis)
-    result = dold.scan(sub_view, args.horizon)
+    result = dold.scan(sub_view, horizon)
     lower = result.empirical_lower
     doc: dict = {
         "input": _echo(spec),
-        "t": args.t,
-        "horizon": args.horizon,
+        "t": t,
+        "horizon": horizon,
         "row": "power-subsequence",
         "base_structure": _structure_doc(verdict),
         "dold_violations": result.violations,
         "empirical_lower": lower,
     }
     try:
-        bound = dold.power_fail_bound(analysis, args.t)
+        bound = dold.power_fail_bound(analysis, t)
     except ValueError as exc:
         doc["bound"] = None
         doc["bound_note"] = str(exc)
@@ -475,11 +491,12 @@ def _cmd_power(args) -> dict:
 
 
 def _cmd_family(args) -> dict:
+    horizon = _at_least("--horizon", args.horizon, 1)
     try:
         spec = recurrence.square_disc_family(args.delta)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    report = dold.fail_report(spec, horizon=args.horizon, max_bits=args.max_bits)
+    report = dold.fail_report(spec, horizon=horizon, max_bits=args.max_bits)
     return {
         "delta": args.delta,
         "coeffs": list(spec.coefficients),
@@ -489,8 +506,9 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
+    prime_bound = _at_least("--prime-bound", args.prime_bound, 2)
     spec = _load_spec(args)
-    status, payload = recurrence.convenient_check(recurrence.analyze(spec), args.prime_bound)
+    status, payload = recurrence.convenient_check(recurrence.analyze(spec), prime_bound)
     doc = {"input": _echo(spec), "status": status}
     if status == "certified":
         doc["witness"] = payload
@@ -504,18 +522,18 @@ def _cmd_density(args) -> dict:
     poly = normalize(coeffs)
     if not poly or poly[-1] != 1:
         raise InputError("--poly must be monic (last coefficient 1)")
-    if args.prime_bound < 100:
-        raise InputError(f"--prime-bound must be at least 100 for density, got {args.prime_bound}")
-    density = root_density(poly, args.prime_bound)
+    prime_bound = _at_least("--prime-bound", args.prime_bound, 100, " for density")
+    density = root_density(poly, prime_bound)
     return {
         "poly": poly_to_string(poly),
-        "prime_bound": args.prime_bound,
+        "prime_bound": prime_bound,
         "density": density,
         "value": float(density),
     }
 
 
 def _cmd_bfile(args) -> dict:
+    horizon = _at_least("--horizon", args.horizon, 1)
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -536,8 +554,8 @@ def _cmd_bfile(args) -> dict:
             break
         terms.append(value)
         expected += 1
-    horizon = min(args.horizon, len(terms))
-    result = dold.scan(recurrence.raw_view(terms, max_bits=args.max_bits), horizon)
+    horizon = min(horizon, len(terms))
+    result = dold.scan(recurrence.raw_view(terms), horizon)
     return {
         "entries": len(bfile.entries),
         "contiguous": len(terms) == len(bfile.entries),
@@ -601,19 +619,17 @@ def _humanize(doc: dict, indent: int = 0) -> str:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    """Print the report of one invocation and return its exit code; a bad subcommand argument is an input error."""
+    # argparse sets args.command before the subcommand's parser reads the
+    # rest, so an InputError that parser raises still names the subcommand.
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    saved_seed = factorint.DEFAULT_SEED
-    if args.seed is not None:
-        factorint.DEFAULT_SEED = args.seed
-    try:
-        if args.horizon < 1:
-            raise InputError(f"--horizon must be at least 1, got {args.horizon}")
-        if args.prime_bound < 2 and args.command in ("fail", "classify", "witness"):
-            raise InputError(f"--prime-bound must be at least 2, got {args.prime_bound}")
+        try:
+            _, unread = build_parser().parse_known_args(argv, args)
+        except SystemExit as exc:
+            return 1 if exc.code else 0
+        if unread:  # the subcommand's parser hands back what it does not know
+            raise InputError(f"unrecognized arguments: {' '.join(unread)}")
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **_COMMANDS[args.command](args)}
         text = dumps_report(doc)
         if args.human:
@@ -628,8 +644,6 @@ def run_command(argv: list[str]) -> int:
             )
         )
         return 2
-    finally:
-        factorint.DEFAULT_SEED = saved_seed
     print(text)
     return 0
 

@@ -23,6 +23,7 @@ from .factorint import _gf_degrees
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import IntPoly, degree, discriminant, mul
 from .recurrence import (
+    DEFAULT_MAX_BITS,
     EXACT,
     Analysis,
     RecurrenceSpec,
@@ -220,7 +221,7 @@ def _per_prime_resolution(lower: int, bounds: list[tuple[str, int]]) -> tuple[tu
 
 
 def fail_report(
-    spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int | None = None, prime_bound: int = 300
+    spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int = DEFAULT_MAX_BITS, prime_bound: int = 300
 ) -> FailReport:
     """Full analysis of a recurrence-backed sequence.
 
@@ -231,11 +232,10 @@ def fail_report(
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    kwargs = {} if max_bits is None else {"max_bits": max_bits}
     analysis = analyze(spec)
     verdict = structure_test(analysis)
     classification = classify(analysis, prime_bound)
-    result = scan(sequence_view(spec, **kwargs), horizon)
+    result = scan(sequence_view(spec, max_bits=max_bits), horizon)
     bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
     return FailReport(

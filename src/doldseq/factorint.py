@@ -54,11 +54,6 @@ MAX_COEFF = 10**6
 # both sieve every prime up to the bound before they test the first one.
 MAX_PRIME_BOUND = 10**5
 
-# Global override for the equal-degree-splitting seed; None keeps the
-# per-input derivation.  The CLI's --seed flag sets it for one command.
-DEFAULT_SEED: int | None = None
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Monic irreducible factors with multiplicities; their product is the (monic) input."""
@@ -168,23 +163,19 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(h, d, p, rng)
 
 
-def factor_mod_p(f: list[int], p: int, seed: int | None = None) -> list[tuple[list[int], int]]:
+def factor_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Complete factorization of f over F_p, for p prime, into monic irreducibles.
 
     Output is sorted canonically (degree, then coefficients) regardless of
-    the internal randomness, which is seeded from the reduced coefficients
-    unless an explicit seed is given.
+    the internal randomness, which is seeded from p and the reduced
+    coefficients.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     f = zm_reduce(f, p)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    if seed is None:
-        seed = DEFAULT_SEED
-    if seed is None:
-        seed = hash((p, *f)) & 0x7FFFFFFF
-    rng = random.Random(seed)
+    rng = random.Random(hash((p, *f)) & 0x7FFFFFFF)
     out: list[tuple[list[int], int]] = []
     for sqf, mult in _gf_squarefree_list(zm_monic(f, p), p):
         for block, d in _gf_distinct_degree(sqf, p):
@@ -314,12 +305,12 @@ def _good_prime(f: IntPoly) -> int:
     raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
 
 
-def _factor_squarefree_over_Z(f: IntPoly, seed: int | None) -> list[IntPoly]:
+def _factor_squarefree_over_Z(f: IntPoly) -> list[IntPoly]:
     """Irreducible monic factors of a monic squarefree f over Z."""
     if degree(f) == 1:
         return [f]
     p = _good_prime(f)
-    modular = factor_mod_p(f, p, seed=seed)
+    modular = factor_mod_p(f, p)
     if len(modular) == 1:
         return [f]
     bound = 2 * _mignotte_bound(f)
@@ -352,7 +343,7 @@ def _factor_squarefree_over_Z(f: IntPoly, seed: int | None) -> list[IntPoly]:
     return result
 
 
-def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) -> Factorization:
+def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
     Supported envelope: degree <= 12, coefficients up to 1e6 in magnitude;
@@ -374,7 +365,7 @@ def factor_over_Z(f: IntPoly, seed: int | None = None, disc: int | None = None) 
     parts = [(f, 1)] if disc else _squarefree_decomposition(f)
     factors: list[tuple[tuple[int, ...], int]] = []
     for sqf, mult in parts:
-        for irr in _factor_squarefree_over_Z(sqf, seed):
+        for irr in _factor_squarefree_over_Z(sqf):
             factors.append((tuple(irr), mult))
     factors.sort(key=lambda t: _sort_key(t[0]))
     return Factorization(tuple(factors))

@@ -9,7 +9,6 @@ any modulus m; a prime modulus is checked where it enters, at
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,12 +100,14 @@ def divmod_exact(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly] | None:
     return normalize(q), normalize(r)
 
 
-def content(f: IntPoly) -> int:
-    return math.gcd(*f) if f else 0
-
-
 def gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic gcd over Q; for monic integer inputs the result has integer coefficients."""
+    """Monic gcd over Q of a monic integer f and an integer g.
+
+    The gcd divides f, so it is a monic factor of a monic integer
+    polynomial, and Gauss's lemma makes its coefficients integers.
+    """
+    if not is_monic(f):
+        raise ValueError("gcd_monic requires a monic f")
     a = [Fraction(c) for c in normalize(f)]
     b = [Fraction(c) for c in normalize(g)]
     while b:
@@ -124,18 +125,8 @@ def gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
         while r and r[-1] == 0:
             r.pop()
         a, b = b, r
-    if not a:
-        return []
     lead = a[-1]
-    monic = [c / lead for c in a]
-    den = math.lcm(*[c.denominator for c in monic])
-    if den != 1:
-        # gcd of monic integer polynomials is integral; clear denominators
-        # defensively for general inputs and re-primitivize.
-        ints = [int(c * den) for c in monic]
-        cont = content(ints)
-        return normalize([c // cont for c in ints])
-    return normalize([int(c) for c in monic])
+    return [int(c / lead) for c in a]
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:

@@ -199,8 +199,9 @@ def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> Seq
     return SequenceView(spec=spec, max_bits=max_bits)
 
 
-def raw_view(terms: "list[int] | list[Decimal]", max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
-    return SequenceView(raw=terms, max_bits=max_bits)
+def raw_view(terms: "list[int] | list[Decimal]") -> SequenceView:
+    """View of given terms; it generates none, so no bit budget applies."""
+    return SequenceView(raw=terms)
 
 
 def power_subsequence(view: SequenceView, t: int) -> SequenceView:
@@ -217,7 +218,7 @@ def scaled_view(view: SequenceView, c: int, horizon: int) -> SequenceView:
     factor = _exact(c)
     with localcontext(EXACT):
         values = [factor * v for v in view.terms(horizon)]
-    return raw_view(values, max_bits=view.max_bits)
+    return raw_view(values)
 
 
 @dataclass(frozen=True)

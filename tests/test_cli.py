@@ -188,7 +188,7 @@ def test_check_guard_document_unchanged(run_cli):
     validate(out)
 
 
-# A valid invocation of every subcommand; --horizon is appended by the test.
+# A valid invocation of every subcommand; tests append the flags they try.
 SUBCOMMAND_ARGV = {
     "gen": ["gen", "--coeffs", "1,1", "--initial", "1,1"],
     "check": ["check", "--coeffs", "1,1", "--initial", "1,1"],
@@ -202,11 +202,29 @@ SUBCOMMAND_ARGV = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
-def test_nonpositive_horizon_is_an_input_error(run_cli, tmp_path, command):
+# The flags each subcommand reads, besides --human (all of them) and its own inputs.
+SUBCOMMAND_FLAGS = {
+    "gen": {"--horizon", "--max-bits"},
+    "check": {"--horizon", "--max-bits"},
+    "fail": {"--horizon", "--max-bits", "--prime-bound"},
+    "classify": {"--prime-bound"},
+    "power": {"--horizon", "--max-bits"},
+    "family": {"--horizon", "--max-bits"},
+    "witness": {"--prime-bound"},
+    "density": {"--prime-bound"},
+    "bfile-check": {"--horizon"},
+}
+
+
+def _subcommand_argv(command, tmp_path):
     bfile = tmp_path / "b.txt"
     bfile.write_text("1 1\n2 3\n3 4\n")
-    argv = [str(bfile) if a == "BFILE" else a for a in SUBCOMMAND_ARGV[command]]
+    return [str(bfile) if a == "BFILE" else a for a in SUBCOMMAND_ARGV[command]]
+
+
+@pytest.mark.parametrize("command", sorted(c for c, flags in SUBCOMMAND_FLAGS.items() if "--horizon" in flags))
+def test_nonpositive_horizon_is_an_input_error(run_cli, tmp_path, command):
+    argv = _subcommand_argv(command, tmp_path)
     code, _ = run_cli([*argv, "--horizon", "2"])
     assert code == 0
     for horizon in ("0", "-5"):
@@ -214,6 +232,78 @@ def test_nonpositive_horizon_is_an_input_error(run_cli, tmp_path, command):
         assert code == 1, (command, horizon)
         assert json.loads(out)["error"] == f"--horizon must be at least 1, got {horizon}"
         validate(out)
+
+
+# Every (subcommand, flag it does not read) pair, over the flags some subcommand
+# reads and the deleted --json and --seed; then bad values and an unknown flag.
+UNREAD_FLAGS = [
+    (command, [flag, "5"])
+    for command, flags in SUBCOMMAND_FLAGS.items()
+    for flag in ("--horizon", "--max-bits", "--prime-bound", "--seed")
+    if flag not in flags
+] + [(command, ["--json"]) for command in SUBCOMMAND_FLAGS]
+ARGUMENT_ERRORS = UNREAD_FLAGS + [
+    ("fail", ["--horizon", "abc"]),
+    ("density", ["--prime-bound", "1e3"]),
+    ("family", ["--delta", "x"]),
+    ("check", ["--bogus"]),
+    ("power", ["--t"]),
+]
+MISSING_INPUTS = [
+    ("power", ["power", "--coeffs", "1,1", "--initial", "1,1"]),
+    ("family", ["family"]),
+    ("density", ["density"]),
+    ("bfile-check", ["bfile-check"]),
+]
+
+
+def _assert_input_error_of(command, capsys, code):
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["command"] == command and doc["error"]
+    assert set(doc) == {"schema_version", "command", "error"}
+    validate(out)
+
+
+@pytest.mark.parametrize(
+    "command,extra", ARGUMENT_ERRORS, ids=[" ".join([c, *e]) for c, e in ARGUMENT_ERRORS]
+)
+def test_argument_error_is_an_input_error_of_the_subcommand(capsys, tmp_path, command, extra):
+    argv = _subcommand_argv(command, tmp_path)
+    if "--horizon" in SUBCOMMAND_FLAGS[command]:
+        argv += ["--horizon", "2"]
+    assert cli.run_command(argv) == 0
+    capsys.readouterr()
+    _assert_input_error_of(command, capsys, cli.run_command([*argv, *extra]))
+
+
+@pytest.mark.parametrize("command,argv", MISSING_INPUTS, ids=[c for c, _ in MISSING_INPUTS])
+def test_missing_required_input_is_an_input_error(capsys, command, argv):
+    _assert_input_error_of(command, capsys, cli.run_command(argv))
+    assert cli.run_command([*argv, "-h"]) == 0  # help still prints and exits 0
+    assert "usage: doldseq " + command in capsys.readouterr().out
+
+
+def test_missing_or_unknown_subcommand_prints_usage(capsys):
+    for argv in ([], ["--horizon", "5", "check"], ["bogus"], ["--human"]):
+        assert cli.run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: doldseq"), argv
+    assert cli.run_command(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: doldseq")
+
+
+def test_parser_declares_only_the_flags_each_subcommand_reads():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pairs = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in set(action.option_strings) & {"--human", "--horizon", "--max-bits", "--prime-bound"}:
+                pairs.add((command, flag))
+    assert pairs == {(c, f) for c, flags in SUBCOMMAND_FLAGS.items() for f in flags | {"--human"}}
+    assert len(pairs) == 24
 
 
 def test_power_nonpositive_exponent_is_an_input_error(run_cli):
@@ -385,7 +475,7 @@ REUSE_SEQUENCE = [
     ["classify", "--human", "--coeffs", "12,3", "--initial", "2,25"],
     ["classify", "--coeffs", "12,3", "--initial", "2,25"],
     ["fail", "--bogus"],  # argparse error: exit 1
-    ["witness", "--seed", "5", "--coeffs", "2,2,2", "--initial", "1,0,0", "--prime-bound", "20"],
+    ["witness", "--coeffs", "2,2,2", "--initial", "1,0,0", "--prime-bound", "20"],
     ["witness", "--coeffs", "2,2,2", "--initial", "1,0,0"],
     ["gen", "--horizon", "4", "--coeffs", "1,1", "--initial", "1,1"],
     ["gen", "--coeffs", "1,1", "--initial", "1,1"],
@@ -488,21 +578,6 @@ def test_human_output(run_cli):
     code, out = run_cli(["classify", "--human", "--coeffs", "12,3", "--initial", "2,25"])
     assert code == 0
     assert "order-2-irreducible" in out
-
-
-def test_seed_flag_accepted(run_cli):
-    code, out = run_cli(["classify", "--seed", "7", "--coeffs", "0,10,0,-1", "--initial", "0,5,0,49"])
-    assert code == 0
-    assert loads_report(out)["row"] == "irreducible"
-
-
-def test_seed_flag_does_not_outlive_the_command(run_cli):
-    code, _ = run_cli(["classify", "--seed", "7", "--coeffs", "0,10,0,-1", "--initial", "0,5,0,49"])
-    assert code == 0
-    assert factorint.DEFAULT_SEED is None
-    code, _ = run_cli(["classify", "--seed", "7"])  # input error: no recurrence given
-    assert code == 1
-    assert factorint.DEFAULT_SEED is None
 
 
 # -- remaining subcommands ---------------------------------------------------

@@ -163,6 +163,13 @@ def test_squarefree_part_coprime_with_derivative():
         assert degree(gcd_monic(sf, derivative(sf))) == 0
 
 
+def test_gcd_monic_rejects_a_non_monic_f():
+    assert gcd_monic([-1, 0, 1], [2, 2]) == [1, 1]
+    for f in ([], [-2, 0, 2], [1, 2]):
+        with pytest.raises(ValueError, match="monic"):
+            gcd_monic(f, [1, 1])
+
+
 def test_power_sums_examples():
     assert power_sums([-1, -1, 1], 4) == [1, 3, 4, 7]  # Lucas numbers
     assert power_sums([-3, -12, 1], 3) == [12, 150, 1836]

@@ -30,14 +30,12 @@ from .recurrence import (
     RecurrenceSpec,
     SequenceView,
     StructureVerdict,
-    TraceSequence,
     analyze,
     char_poly,
     convenient_check,
+    exact_terms,
     make_recurrence,
-    power_subsequence,
-    raw_view,
-    scaled_view,
+    power_terms,
     sequence_view,
     square_disc_family,
     structure_test,

@@ -224,55 +224,11 @@ def _write(obj, out: list[str], nl: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _maybe_int(value):
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            return value
-    return value
-
-
-# Fields whose values are genuine strings, never encoded integers.
-_STRING_FIELDS = frozenset(
-    {
-        "schema_version",
-        "command",
-        "verdict",
-        "label",
-        "row",
-        "condition",
-        "status",
-        "error",
-        "factor",
-        "poly",
-        "convenient",
-        "exactness_source",
-        "bound_note",
-    }
-)
-
-
-def _decode(obj, key=None):
-    """Inverse of dumps_report for round-tripping reports: decimal strings become ints."""
-    if isinstance(obj, dict):
-        return {k: _decode(v, k) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v, key) for v in obj]
-    if key in _STRING_FIELDS:
-        return obj
-    return _maybe_int(obj)
-
-
 def dumps_report(doc: dict) -> str:
     """The report as indent=2 JSON text, with every integer as a decimal string, in one pass."""
     out: list[str] = []
     _write(doc, out, "\n")
     return "".join(out)
-
-
-def loads_report(text: str) -> dict:
-    return _decode(json.loads(text))
 
 
 def _structure_doc(verdict):
@@ -375,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_parser(name, help, *flags, spec=True):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         if spec:
             p.add_argument("--coeffs", help="recursion coefficients r1,...,rd")
             p.add_argument("--initial", help="initial terms U1,...,Ud")
@@ -426,7 +382,7 @@ def _cmd_gen(args) -> dict:
 def _cmd_check(args) -> dict:
     horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    result = dold.scan(recurrence.sequence_view(spec, max_bits=args.max_bits), horizon)
+    result = dold.scan(recurrence.sequence_view(spec, max_bits=args.max_bits).terms(horizon))
     return {
         "input": _echo(spec),
         "horizon": horizon,
@@ -453,9 +409,8 @@ def _cmd_power(args) -> dict:
     horizon, t = _at_least("--horizon", args.horizon, 1), _at_least("--t", args.t, 1)
     spec = _load_spec(args)
     analysis = recurrence.analyze(spec)
-    sub_view = recurrence.power_subsequence(recurrence.sequence_view(spec, max_bits=args.max_bits), t)
     verdict = recurrence.structure_test(analysis)
-    result = dold.scan(sub_view, horizon)
+    result = dold.scan(recurrence.power_terms(recurrence.sequence_view(spec, max_bits=args.max_bits), t, horizon))
     lower = result.empirical_lower
     doc: dict = {
         "input": _echo(spec),
@@ -555,7 +510,7 @@ def _cmd_bfile(args) -> dict:
         terms.append(value)
         expected += 1
     horizon = min(horizon, len(terms))
-    result = dold.scan(recurrence.raw_view(terms), horizon)
+    result = dold.scan(terms[:horizon])  # parse_bfile has made every value exact
     return {
         "entries": len(bfile.entries),
         "contiguous": len(terms) == len(bfile.entries),

@@ -77,8 +77,8 @@ def mobius_sum(view: SequenceView, n: int) -> int:
     return sum(mobius(n // d) * view.term(d) for d in divisors(n))
 
 
-def mobius_sums(view: SequenceView, horizon: int) -> list[Decimal]:
-    """[S_1, ..., S_horizon] as exact integral Decimals, by Mobius inversion one prime at a time.
+def mobius_sums(terms: list[Decimal]) -> list[Decimal]:
+    """[S_1, ..., S_N] for terms A_1..A_N (exact integral Decimals), by Mobius inversion one prime at a time.
 
     As Dirichlet series, sum S_n n^-s = (sum A_n n^-s) / zeta(s), and
     1/zeta(s) is the Euler product over primes p of (1 - p^-s).  So the
@@ -91,9 +91,8 @@ def mobius_sums(view: SequenceView, horizon: int) -> list[Decimal]:
     N = 2000), each step one C-level map over two slices, with no mu table
     and no factoring.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    sums = [Decimal(0), *view.terms(horizon)]
+    horizon = len(terms)
+    sums = [Decimal(0), *terms]
     if horizon >= 2:
         with localcontext(EXACT):
             for p in primes_up_to(horizon).primes:
@@ -113,13 +112,17 @@ class DoldScan(NamedTuple):
     empirical_lower: int  # lcm of the deficiencies; divides the fail factor
 
 
-def scan(view: SequenceView, horizon: int) -> DoldScan:
-    """Dold violations, sign violations and the empirical lower bound up to horizon, in one loop."""
+def scan(terms: list[Decimal]) -> DoldScan:
+    """Dold violations, sign violations and the empirical lower bound of terms A_1..A_N, in one loop.
+
+    The terms are exact integral Decimals, as `SequenceView.terms`,
+    `recurrence.power_terms` and `recurrence.exact_terms` return them.
+    """
     violations = []
     negative = []
     lower = 1
     with localcontext(EXACT):
-        for n, s in enumerate(mobius_sums(view, horizon), start=1):
+        for n, s in enumerate(mobius_sums(terms), start=1):
             r = s % n
             if r:
                 deficiency = n // math.gcd(n, int(r))
@@ -235,7 +238,7 @@ def fail_report(
     analysis = analyze(spec)
     verdict = structure_test(analysis)
     classification = classify(analysis, prime_bound)
-    result = scan(sequence_view(spec, max_bits=max_bits), horizon)
+    result = scan(sequence_view(spec, max_bits=max_bits).terms(horizon))
     bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
     return FailReport(

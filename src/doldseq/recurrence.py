@@ -1,11 +1,11 @@
 """Integer linear recurrent sequences and their structural decomposition.
 
-Indexing starts at n = 1 throughout.  A sequence view hands out exact
-terms and caches them; power-subsequence views sample the base view at
-n**t.  The structure test decides whether a sequence is an exact rational
-combination of the trace sequences of the distinct irreducible factors of
-its characteristic polynomial, which is equivalent to the fail factor
-being finite.
+Indexing starts at n = 1 throughout.  A sequence view generates a
+recurrence's exact terms and caches them; ``power_terms`` samples a view
+at n**t, and ``exact_terms`` converts given values.  The structure test
+decides whether a sequence is an exact rational combination of the trace
+sequences of the distinct irreducible factors of its characteristic
+polynomial, which is equivalent to the fail factor being finite.
 
 Views hold their values as exact integral Decimals (exponent 0, never
 negative zero) rather than ints: libmpdec stores them in base 10^19, so
@@ -19,6 +19,7 @@ an int; ``terms(N)`` returns the Decimals A_1..A_N.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
@@ -118,31 +119,18 @@ def analyze(spec: RecurrenceSpec) -> Analysis:
 
 
 class SequenceView:
-    """Lazily generated, cached exact terms indexed from 1.
+    """Lazily generated, cached exact terms of a recurrence, indexed from 1.
 
-    Backed by a recurrence, by a power subsequence of another view, or by
-    raw ingested terms (ints or integral Decimals, converted once).  The
-    cache is grow-only; a per-term bit guard bounds memory: a generated
+    The cache is grow-only; a per-term bit guard bounds memory: a generated
     term v stops generation when |v| >= 2**max_bits.
     """
 
-    def __init__(
-        self,
-        *,
-        spec: RecurrenceSpec | None = None,
-        base: "SequenceView | None" = None,
-        exponent: int | None = None,
-        raw: "list[int] | list[Decimal] | None" = None,
-        max_bits: int = DEFAULT_MAX_BITS,
-    ):
+    def __init__(self, spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS):
         self.spec = spec
-        self.base = base
-        self.exponent = exponent
-        self.raw = None if raw is None else [_exact(v) for v in raw]
         self.max_bits = max_bits
-        self._cache: list[Decimal] = [_exact(v) for v in spec.initial] if spec is not None else []
+        self._cache: list[Decimal] = [_exact(v) for v in spec.initial]
         # (i, r_i) for each nonzero coefficient: A_k = sum r_i * A_(k-i)
-        self._steps = [(i, _exact(c)) for i, c in enumerate(spec.coefficients, start=1) if c] if spec is not None else []
+        self._steps = [(i, _exact(c)) for i, c in enumerate(spec.coefficients, start=1) if c]
         # 0.30102 < log10(2): a term of at most _safe_digits digits is under 2**max_bits
         self._safe_digits = max_bits * 30102 // 100000 - 1
         self._limit: Decimal | None = None  # 2**max_bits, built when a term comes near it
@@ -157,20 +145,10 @@ class SequenceView:
         """A_n as an int."""
         if n < 1:
             raise ValueError("indices start at 1")
-        if self.base is not None:
-            return self.base.term(n**self.exponent)
         return int(self._prefix(n)[n - 1])
 
     def _prefix(self, count: int) -> list[Decimal]:
         """A list whose first count entries are A_1..A_count (the cache itself, not a copy)."""
-        if self.raw is not None:
-            if count > len(self.raw):
-                raise IndexError(f"raw sequence has only {len(self.raw)} terms")
-            return self.raw
-        if self.base is not None:
-            t = self.exponent
-            values = self.base._prefix(count**t)
-            return [values[n**t - 1] for n in range(1, count + 1)]
         cache = self._cache
         if len(cache) < count:
             steps = self._steps
@@ -199,44 +177,28 @@ def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> Seq
     return SequenceView(spec=spec, max_bits=max_bits)
 
 
-def raw_view(terms: "list[int] | list[Decimal]") -> SequenceView:
-    """View of given terms; it generates none, so no bit budget applies."""
-    return SequenceView(raw=terms)
+def exact_terms(values: Iterable[int | Decimal]) -> list[Decimal]:
+    """Ints or integral Decimals as exact integral Decimals; anything else raises ValueError or TypeError."""
+    return [_exact(v) for v in values]
 
 
-def power_subsequence(view: SequenceView, t: int) -> SequenceView:
-    """View whose n-th term is the base view's term at n**t."""
+def power_terms(view: SequenceView, t: int, count: int) -> list[Decimal]:
+    """A_(n**t) for n = 1..count, read from view's cache without copying it."""
     if t < 1:
         raise ValueError("exponent must be positive")
-    if t == 1:
-        return view
-    return SequenceView(base=view, exponent=t, max_bits=view.max_bits)
+    values = view._prefix(count**t)
+    return [values[n**t - 1] for n in range(1, count + 1)]
 
 
-def scaled_view(view: SequenceView, c: int, horizon: int) -> SequenceView:
-    """Raw view of c * view over 1..horizon (used by the multiplier checks)."""
-    factor = _exact(c)
-    with localcontext(EXACT):
-        values = [factor * v for v in view.terms(horizon)]
-    return raw_view(values)
-
-
-@dataclass(frozen=True)
-class TraceSequence:
-    """Power sums of the roots of a monic irreducible polynomial."""
-
-    generator: tuple[int, ...]
-    view: SequenceView
-
-
-def trace_sequence(factor: IntPoly, max_bits: int = DEFAULT_MAX_BITS) -> TraceSequence:
+def trace_sequence(factor: IntPoly, max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
+    """The power sums of the roots of a monic irreducible polynomial, as the view of their recurrence."""
     f = normalize(factor)
     d = degree(f)
     if d < 1:
         raise ValueError("generator must be nonconstant")
     coeffs = tuple(-f[d - i] for i in range(1, d + 1))
     spec = RecurrenceSpec(coeffs, tuple(power_sums(f, d)))
-    return TraceSequence(tuple(f), sequence_view(spec, max_bits=max_bits))
+    return sequence_view(spec, max_bits=max_bits)
 
 
 @dataclass(frozen=True)

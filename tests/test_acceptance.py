@@ -7,6 +7,7 @@ the acceptance status at a glance.
 
 import contextlib
 import random
+from decimal import localcontext
 from fractions import Fraction
 
 from doldseq.dold import fail_report, power_fail_bound, scan, table_bounds
@@ -14,11 +15,10 @@ from doldseq.factorint import factor_over_Z, root_density
 from doldseq.numth import factorize, mobius, primes_up_to, radical_int
 from doldseq.polyring import discriminant, mul, normalize
 from doldseq.recurrence import (
+    EXACT,
     analyze,
     make_recurrence,
-    power_subsequence,
-    raw_view,
-    scaled_view,
+    power_terms,
     sequence_view,
     square_disc_family,
     structure_test,
@@ -59,7 +59,7 @@ def test_criterion_2_fibonacci_and_lucas():
         assert not structure_test(analyze(fib)).almost
         assert fail_report(fib, horizon=50).infinite
         lucas = make_recurrence([1, 1], [1, 3])
-        assert scan(sequence_view(lucas), 300).violations == ()
+        assert scan(sequence_view(lucas).terms(300)).violations == ()
         report = fail_report(lucas, horizon=300)
         assert dict(report.upper_bounds)["gcd"] == 1
         assert report.exact == 1
@@ -81,8 +81,7 @@ def test_criterion_4_power_subsequence():
     with criterion(4, "power subsequence t=4: refuted base, empirical fail 6 = radical bound"):
         spec = make_recurrence([0, 10, 0, -1], [1, 0, 9, 0])
         assert not structure_test(analyze(spec)).almost
-        view = power_subsequence(sequence_view(spec), 4)
-        lower = scan(view, 6).empirical_lower
+        lower = scan(power_terms(sequence_view(spec), 4, 6)).empirical_lower
         assert lower == 6
         assert discriminant([1, 0, -10, 0, 1]) == 147456
         assert radical_int(147456) == 6
@@ -96,20 +95,20 @@ def test_criterion_4_power_subsequence():
 def test_criterion_5_square_discriminant_family():
     with criterion(5, "square-discriminant family: every p | delta divides the lower bound"):
         for delta in range(2, 31):
-            lower = scan(sequence_view(square_disc_family(delta)), 50).empirical_lower
+            lower = scan(sequence_view(square_disc_family(delta)).terms(50)).empirical_lower
             for p, _ in factorize(delta):
                 assert lower % p == 0, (delta, p, lower)
 
 
-def first_mobius_failure(view, horizon):
+def first_mobius_failure(terms, horizon):
     for n in range(1, horizon + 1):
-        s = sum(mobius(n // d) * view.term(d) for d in range(1, n + 1) if n % d == 0)
+        s = sum(mobius(n // d) * terms[d - 1] for d in range(1, n + 1) if n % d == 0)
         if s % n:
             return n
     return None
 
 
-def first_prime_power_failure(view, horizon):
+def first_prime_power_failure(terms, horizon):
     worst = None
     for p in primes_up_to(horizon).primes:
         k = 1
@@ -118,7 +117,7 @@ def first_prime_power_failure(view, horizon):
                 if s % p == 0:
                     continue
                 n = p**k * s
-                if (view.term(n) - view.term(n // p)) % p**k:
+                if (terms[n - 1] - terms[n // p - 1]) % p**k:
                     if worst is None or n < worst:
                         worst = n
             k += 1
@@ -130,8 +129,7 @@ def test_criterion_6_prime_power_equivalence():
         rng = random.Random(2024)
         for _ in range(100):
             terms = [rng.randrange(-50, 51) for _ in range(300)]
-            view = raw_view(terms)
-            assert first_mobius_failure(view, 300) == first_prime_power_failure(view, 300)
+            assert first_mobius_failure(terms, 300) == first_prime_power_failure(terms, 300)
 
 
 def random_irreducible(rng, deg, bound=5):
@@ -139,6 +137,12 @@ def random_irreducible(rng, deg, bound=5):
         f = [rng.randrange(-bound, bound + 1) for _ in range(deg)] + [1]
         if f[0] != 0 and factor_over_Z(normalize(f)).is_irreducible():
             return normalize(f)
+
+
+def scaled(terms, c):
+    """c * A_n for each exact term A_n, with no rounding."""
+    with localcontext(EXACT):
+        return [c * v for v in terms]
 
 
 def test_criterion_7_multiplier_suites():
@@ -153,8 +157,7 @@ def test_criterion_7_multiplier_suites():
             spec = make_recurrence([a + b, -a * b], [rng.randrange(-9, 10), rng.randrange(-9, 10)])
             disc = (a - b) ** 2
             c = abs(spec.coefficients[1]) * radical_int(disc)
-            scaled = scaled_view(sequence_view(spec), c, 200)
-            assert scan(scaled, 200).violations == (), (a, b, spec.initial)
+            assert scan(scaled(sequence_view(spec).terms(200), c)).violations == (), (a, b, spec.initial)
             done += 1
         # non-square-discriminant quadratics with equal root coefficients,
         # scaled by |2 r_2| * rad(|disc|)
@@ -165,13 +168,12 @@ def test_criterion_7_multiplier_suites():
             if disc >= 0 and int(abs(disc) ** 0.5 + 0.5) ** 2 == disc:
                 continue
             k = rng.randrange(1, 6)
-            tr = trace_sequence(f).view
+            tr = trace_sequence(f)
             spec = make_recurrence(list(tr.spec.coefficients), [k * tr.term(1), k * tr.term(2)])
             if spec.coefficients[1] == 0:
                 continue
             c = abs(2 * spec.coefficients[1]) * radical_int(abs(disc))
-            scaled = scaled_view(sequence_view(spec), c, 200)
-            assert scan(scaled, 200).violations == (), (f, k)
+            assert scan(scaled(sequence_view(spec).terms(200), c)).violations == (), (f, k)
             done += 1
         # square-index subsequences of arbitrary quadratics, scaled by
         # |r_2 * disc| * rad(|disc|)
@@ -186,15 +188,13 @@ def test_criterion_7_multiplier_suites():
             if disc == 0:
                 continue
             c = abs(r2 * disc) * radical_int(abs(disc))
-            squares = power_subsequence(sequence_view(spec), 2)
-            scaled = scaled_view(squares, c, 12)
-            assert scan(scaled, 12).violations == (), (r1, r2, spec.initial)
+            squares = power_terms(sequence_view(spec), 2, 12)
+            assert scan(scaled(squares, c)).violations == (), (r1, r2, spec.initial)
             done += 1
         # trace sequences of irreducibles are Dold-clean unscaled
         for _ in range(50):
             f = random_irreducible(rng, rng.randrange(1, 6))
-            tr = trace_sequence(f).view
-            assert scan(tr, 200).violations == (), f
+            assert scan(trace_sequence(f).terms(200)).violations == (), f
 
 
 def test_criterion_8_factorization():

@@ -13,7 +13,7 @@ import pytest
 
 import doldseq
 from doldseq import cli, dold, factorint, polyring, recurrence
-from doldseq.cli import InputError, dumps_report, loads_report, parse_bfile
+from doldseq.cli import InputError, dumps_report, parse_bfile
 from doldseq.recurrence import SequenceView
 
 HERE = pathlib.Path(__file__).parent
@@ -99,13 +99,22 @@ def test_report_round_trip():
         "nested": {"value": 10**30},
         "flag": True,
     }
-    assert loads_report(dumps_report(doc)) == doc
+    # every integer reads back as the decimal string the schema specifies
+    assert json.loads(dumps_report(doc)) == {
+        "schema_version": "1",
+        "command": "gen",
+        "terms": [str(2**100), "-3", "0"],
+        "nested": {"value": str(10**30)},
+        "flag": True,
+    }
 
 
 # -- golden files for the documented invocations -----------------------------
 #
-# The benchmark self-test reads every top-level golden as a scan report, so
-# the goldens of the algebra commands sit in golden/algebra/.
+# The benchmark self-test reads every top-level golden as a recurrence scan
+# report, so the goldens of the algebra commands sit in golden/algebra/ and
+# the b-file golden, with its b-file, in golden/bfile/.  That b-file has
+# offset 0, a negative term and an index gap, so both warnings appear.
 
 GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
@@ -113,6 +122,7 @@ GOLDEN_CASES = [
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
+    ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
 ]
 
 
@@ -133,13 +143,13 @@ def test_golden_human_invocations(run_cli, name, argv):
 
 def test_golden_key_facts(run_cli):
     _, out = run_cli(GOLDEN_CASES[0][1])
-    assert loads_report(out)["exact"] == 6
+    assert json.loads(out)["exact"] == "6"
     _, out = run_cli(GOLDEN_CASES[1][1])
-    assert 3 in [v["n"] for v in loads_report(out)["dold_violations"]]
+    assert "3" in [v["n"] for v in json.loads(out)["dold_violations"]]
     _, out = run_cli(GOLDEN_CASES[2][1])
-    doc = loads_report(out)
+    doc = json.loads(out)
     # 6 meets only the radical of a heuristic bound, so it is not claimed as exact
-    assert doc["empirical_lower"] == 6 and doc["fail"] is None
+    assert doc["empirical_lower"] == "6" and doc["fail"] is None
     assert "exactness_source" not in doc
 
 
@@ -149,14 +159,14 @@ def test_golden_key_facts(run_cli):
 def test_exit_code_zero_regardless_of_verdict(run_cli):
     code, out = run_cli(["fail", "--coeffs", "1,1", "--initial", "1,1"])
     assert code == 0
-    assert loads_report(out)["fail"] == "infinity"
+    assert json.loads(out)["fail"] == "infinity"
     validate(out)
 
 
 def test_exit_code_one_on_input_error(run_cli):
     code, out = run_cli(["fail", "--coeffs", "1,x", "--initial", "1,1"])
     assert code == 1
-    assert "error" in loads_report(out)
+    assert "error" in json.loads(out)
     validate(out)
     code, _ = run_cli(["fail", "--coeffs", "1,1"])
     assert code == 1
@@ -173,7 +183,7 @@ def test_exit_code_one_on_unknown_flag(run_cli, capsys):
 def test_exit_code_two_on_guard(run_cli):
     code, out = run_cli(["gen", "--coeffs", "10", "--initial", "1", "--horizon", "100", "--max-bits", "64"])
     assert code == 2
-    doc = loads_report(out)
+    doc = json.loads(out)
     assert doc.get("guard") is True
     validate(out)
 
@@ -306,6 +316,27 @@ def test_parser_declares_only_the_flags_each_subcommand_reads():
     assert len(pairs) == 24
 
 
+@pytest.mark.parametrize(
+    "argv,full,abbreviated",
+    [
+        (["check", "--coeffs", "1,1", "--initial", "1,1"], ["--horizon", "5"], ["--hor", "5"]),
+        (["witness"], ["--spec", "SPEC"], ["--s", "SPEC"]),
+    ],
+    ids=["check --hor", "witness --s"],
+)
+def test_abbreviated_flag_is_an_input_error(run_cli, tmp_path, argv, full, abbreviated):
+    # argparse would otherwise read an unambiguous prefix as the whole flag
+    spec = tmp_path / "rec.json"
+    spec.write_text(json.dumps({"coeffs": [1, 1], "initial": [1, 1]}))
+    full, abbreviated = ([str(spec) if a == "SPEC" else a for a in flags] for flags in (full, abbreviated))
+    assert run_cli([*argv, *full])[0] == 0
+    code, out = run_cli([*argv, *abbreviated])
+    assert code == 1
+    error = f"unrecognized arguments: {' '.join(abbreviated)}"
+    assert json.loads(out) == {"schema_version": "1", "command": argv[0], "error": error}
+    validate(out)
+
+
 def test_power_nonpositive_exponent_is_an_input_error(run_cli):
     for t in ("0", "-2"):
         code, out = run_cli(["power", "--t", t, "--coeffs", "1,1", "--initial", "1,1", "--horizon", "5"])
@@ -429,10 +460,10 @@ def test_prime_bound_above_the_ceiling_is_a_guard_stop(run_cli, monkeypatch, com
 def test_fail_classifies_with_the_given_prime_bound(run_cli, bound, row):
     spec = ["--coeffs", "2,2,2", "--initial", "1,0,0", "--prime-bound", bound]
     _, out = run_cli(["classify", *spec])
-    classified = loads_report(out)
+    classified = json.loads(out)
     _, out = run_cli(["fail", *spec, "--horizon", "20"])
     assert classified["row"] == row
-    assert loads_report(out)["classification"] == {k: classified[k] for k in ("row", "condition", "details")}
+    assert json.loads(out)["classification"] == {k: classified[k] for k in ("row", "condition", "details")}
 
 
 @pytest.mark.parametrize("heuristic", [True, False])
@@ -442,12 +473,12 @@ def test_power_claims_exact_fail_only_from_a_proven_bound(run_cli, monkeypatch, 
     code, out = run_cli(GOLDEN_CASES[2][1])
     assert code == 0
     validate(out)
-    doc = loads_report(out)
-    assert doc["empirical_lower"] == 6 and doc["bound"]["heuristic"] is heuristic
+    doc = json.loads(out)
+    assert doc["empirical_lower"] == "6" and doc["bound"]["heuristic"] is heuristic
     if heuristic:
         assert doc["fail"] is None and "exactness_source" not in doc
     else:
-        assert doc["fail"] == 6 and "exactness_source" in doc
+        assert doc["fail"] == "6" and "exactness_source" in doc
 
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -536,7 +567,7 @@ def test_spec_file_input(run_cli, tmp_path):
     spec.write_text(json.dumps({"coeffs": ["12", "3"], "initial": ["2", "25"]}))
     code, out = run_cli(["fail", "--spec", str(spec)])
     assert code == 0
-    assert loads_report(out)["exact"] == 6
+    assert json.loads(out)["exact"] == "6"
     # plain JSON integers, alone or mixed with decimal strings, read the same
     for doc in ({"coeffs": [12, 3], "initial": [2, 25]}, {"coeffs": ["12", 3], "initial": [2, "25"]}):
         spec.write_text(json.dumps(doc))
@@ -555,7 +586,7 @@ def test_spec_file_rejects_non_integer_lists(run_cli, tmp_path, key, value):
     spec.write_text(json.dumps(doc))
     code, out = run_cli(["gen", "--spec", str(spec), "--horizon", "5"])
     assert code == 1
-    assert "malformed recurrence document" in loads_report(out)["error"]
+    assert "malformed recurrence document" in json.loads(out)["error"]
     validate(out)
 
 
@@ -570,7 +601,7 @@ def test_spec_file_must_be_an_object_with_both_lists(run_cli, tmp_path, doc, mis
     code, out = run_cli(["gen", "--spec", str(spec), "--horizon", "5"])
     assert code == 1
     shape = "malformed recurrence document: the document must be a JSON object with 'coeffs' and 'initial' lists"
-    assert loads_report(out)["error"] == (shape if missing is None else f"{shape}; {missing!r} is missing")
+    assert json.loads(out)["error"] == (shape if missing is None else f"{shape}; {missing!r} is missing")
     validate(out)
 
 
@@ -586,37 +617,37 @@ def test_human_output(run_cli):
 def test_gen_terms(run_cli):
     code, out = run_cli(["gen", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "3"])
     assert code == 0
-    assert loads_report(out)["terms"] == [2, 25, 306]
+    assert json.loads(out)["terms"] == ["2", "25", "306"]
     validate(out)
 
 
 def test_family_subcommand(run_cli):
     code, out = run_cli(["family", "--delta", "6"])
     assert code == 0
-    doc = loads_report(out)
-    assert doc["coeffs"] == [8, -7] and doc["initial"] == [6, 41]
-    assert doc["report"]["empirical_lower"] % 6 == 0
+    doc = json.loads(out)
+    assert doc["coeffs"] == ["8", "-7"] and doc["initial"] == ["6", "41"]
+    assert int(doc["report"]["empirical_lower"]) % 6 == 0
     validate(out)
 
 
 def test_family_scans_the_requested_horizon(run_cli):
     code, out = run_cli(["family", "--delta", "3", "--horizon", "80"])
     assert code == 0
-    assert loads_report(out)["report"]["horizon"] == 80
+    assert json.loads(out)["report"]["horizon"] == "80"
 
 
 def test_witness_subcommand(run_cli):
     code, out = run_cli(["witness", "--coeffs", "1,1", "--initial", "1,1"])
     assert code == 0
-    doc = loads_report(out)
-    assert doc["status"] == "certified" and doc["witness"] == 2
+    doc = json.loads(out)
+    assert doc["status"] == "certified" and doc["witness"] == "2"
     validate(out)
 
 
 def test_density_subcommand(run_cli):
     code, out = run_cli(["density", "--poly", "1,0,1", "--prime-bound", "500"])
     assert code == 0
-    doc = loads_report(out)
+    doc = json.loads(out)
     assert 0.3 < doc["value"] < 0.7
     validate(out)
     code, _ = run_cli(["density", "--poly", "1,0,2"])
@@ -630,7 +661,7 @@ def test_density_prime_bound_below_100_is_an_input_error(run_cli):
     validate(out)
     code, out = run_cli(["density", "--poly", "1,0,1", "--prime-bound", "100"])
     assert code == 0
-    assert loads_report(out)["prime_bound"] == 100
+    assert json.loads(out)["prime_bound"] == "100"
 
 
 def test_bfile_check_powers_of_two(run_cli, tmp_path):
@@ -638,7 +669,7 @@ def test_bfile_check_powers_of_two(run_cli, tmp_path):
     path.write_text("".join(f"{n} {2**n}\n" for n in range(1, 61)))
     code, out = run_cli(["bfile-check", str(path), "--horizon", "60"])
     assert code == 0
-    doc = loads_report(out)
+    doc = json.loads(out)
     assert doc["dold_violations"] == [] and doc["sign_violations"] == []
     assert doc["contiguous"] is True and doc["warnings"] == []
     # a bare sequence gets no verdict and no upper bound
@@ -651,8 +682,8 @@ def test_bfile_check_offset_rebased_with_warning(run_cli, tmp_path):
     path.write_text("0 1\n1 2\n2 4\n")
     code, out = run_cli(["bfile-check", str(path)])
     assert code == 0
-    doc = loads_report(out)
-    assert doc["offset"] == 0
+    doc = json.loads(out)
+    assert doc["offset"] == "0"
     assert any("re-based" in w for w in doc["warnings"])
 
 
@@ -661,9 +692,9 @@ def test_bfile_check_non_contiguous_limited(run_cli, tmp_path):
     path.write_text("1 1\n3 2\n")
     code, out = run_cli(["bfile-check", str(path)])
     assert code == 0
-    doc = loads_report(out)
+    doc = json.loads(out)
     assert doc["contiguous"] is False
-    assert doc["horizon"] == 1
+    assert doc["horizon"] == "1"
     assert any("non-contiguous" in w for w in doc["warnings"])
 
 

@@ -1,5 +1,6 @@
 """Dold/sign scans, fail-factor bounds, classification, and reports."""
 
+import functools
 import math
 import random
 
@@ -16,12 +17,12 @@ from doldseq.dold import (
     scan,
     table_bounds,
 )
-from doldseq.numth import mobius, primes_up_to
+from doldseq.numth import divisors, mobius, primes_up_to
 from doldseq.recurrence import (
     analyze,
+    exact_terms,
     make_recurrence,
-    power_subsequence,
-    raw_view,
+    power_terms,
     sequence_view,
     square_disc_family,
     structure_test,
@@ -31,34 +32,60 @@ from doldseq.recurrence import (
 def test_mobius_sum_examples(fibonacci, example_seq):
     assert mobius_sum(sequence_view(fibonacci), 3) == 1  # F_3 - F_1
     assert mobius_sum(sequence_view(example_seq), 2) == 23  # 25 - 2
-    const = raw_view([7] * 10)
+    const = sequence_view(make_recurrence([1], [7]))
     assert mobius_sum(const, 6) == 0
     with pytest.raises(ValueError):
         mobius_sum(const, 0)
 
 
+def _recurrence_case(spec, horizon):
+    """A_1..A_N of a recurrence, with the referees mobius_sum and prime_power_check on its view."""
+    view = sequence_view(spec)
+    return view.terms(horizon), functools.partial(mobius_sum, view), functools.partial(prime_power_check, view)
+
+
+def _list_case(terms, ints):
+    """Terms as a scan reads them, with S_n and the p^k congruences computed here from their int values."""
+
+    def sum_at(n):
+        return sum(mobius(n // d) * ints[d - 1] for d in divisors(n))
+
+    def congruence(p, k, s):  # for p not dividing s
+        return (ints[p**k * s - 1] - ints[p ** (k - 1) * s - 1]) % p**k == 0
+
+    return terms, sum_at, congruence
+
+
+def _power_case(spec, t, horizon):
+    """A_(n**t) for n <= N, read by power_terms, against ints read one index at a time."""
+    view = sequence_view(spec)
+    return _list_case(power_terms(view, t, horizon), [view.term(n**t) for n in range(1, horizon + 1)])
+
+
 def _seeded_views(seed):
-    """Recurrence, raw and power-subsequence views of order 1-3, with a horizon each (N <= 300)."""
+    """Recurrence, int-list and power-subsequence terms of order 1-3 (N <= 300), each with its referees."""
     rng = random.Random(seed)
     for order in (1, 2, 3):
         coeffs = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
         initial = [rng.randint(-9, 9) for _ in range(order)]
         spec = make_recurrence(coeffs, initial)
-        yield sequence_view(spec), 300
-        yield raw_view([sequence_view(spec).term(n) for n in range(1, 301)]), 300
-        yield power_subsequence(sequence_view(spec), 2), 40
-        yield power_subsequence(sequence_view(spec), 3), 12
+        ints = [sequence_view(spec).term(n) for n in range(1, 301)]
+        yield _recurrence_case(spec, 300)
+        yield _list_case(exact_terms(ints), ints)
+        yield _power_case(spec, 2, 40)
+        yield _power_case(spec, 3, 12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_scan_matches_per_index_mobius_sum(seed):
-    for view, horizon in _seeded_views(seed):
-        reference = [mobius_sum(view, n) for n in range(1, horizon + 1)]
+    for terms, sum_at, _ in _seeded_views(seed):
+        horizon = len(terms)
+        reference = [sum_at(n) for n in range(1, horizon + 1)]
         # the smallest horizons, a prime and a prime square, then the full one
         for h in (1, 2, 3, 4, 97, 121, horizon):
             if h <= horizon:
-                assert mobius_sums(view, h) == reference[:h]
-        result = scan(view, horizon)
+                assert mobius_sums(terms[:h]) == reference[:h]
+        result = scan(terms)
         expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(reference, start=1) if s % n]
         assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
         assert list(result.sign_violations) == [n for n, s in enumerate(reference, start=1) if s < 0]
@@ -76,22 +103,20 @@ def test_mobius_sums_match_an_int_reference_at_a_long_horizon():
     for d in range(1, horizon + 1):
         for k, n in enumerate(range(d, horizon + 1, d), start=1):
             reference[n] += mu[k] * terms[d - 1]
-    assert mobius_sums(sequence_view(make_recurrence(coeffs, initial)), horizon) == reference[1:]
+    assert mobius_sums(sequence_view(make_recurrence(coeffs, initial)).terms(horizon)) == reference[1:]
 
 
 def test_scan_horizon_edges():
-    view = raw_view([1, 2, 3])
-    assert mobius_sums(view, 0) == []
-    assert scan(view, 0).violations == () and scan(view, 0).empirical_lower == 1
-    with pytest.raises(ValueError):
-        mobius_sums(view, -1)
+    assert mobius_sums([]) == []
+    assert scan([]).violations == () and scan([]).empirical_lower == 1
+    assert mobius_sums(exact_terms([5])) == [5]
 
 
 def test_dold_violations_examples(lucas, example_seq, fibonacci):
-    assert scan(sequence_view(lucas), 300).violations == ()
-    vs = scan(sequence_view(example_seq), 3).violations
+    assert scan(sequence_view(lucas).terms(300)).violations == ()
+    vs = scan(sequence_view(example_seq).terms(3)).violations
     assert [(v.n, v.deficiency) for v in vs] == [(2, 2), (3, 3)]
-    vf = scan(sequence_view(fibonacci), 3).violations
+    vf = scan(sequence_view(fibonacci).terms(3)).violations
     assert [(v.n, v.deficiency) for v in vf] == [(3, 3)]
 
 
@@ -106,16 +131,16 @@ def test_prime_power_check_examples(example_seq, lucas, fibonacci):
 
 
 def test_sign_violations_examples():
-    powers = raw_view([2**n for n in range(1, 101)])
-    assert scan(powers, 100).sign_violations == ()
-    assert scan(raw_view([5] * 100), 100).sign_violations == ()
-    assert 2 in scan(raw_view([1, 0, 0, 0]), 4).sign_violations
+    powers = exact_terms([2**n for n in range(1, 101)])
+    assert scan(powers).sign_violations == ()
+    assert scan(exact_terms([5] * 100)).sign_violations == ()
+    assert 2 in scan(exact_terms([1, 0, 0, 0])).sign_violations
 
 
 def test_empirical_fail_lower_examples(example_seq, lucas):
-    assert scan(sequence_view(example_seq), 200).empirical_lower % 6 == 0
-    assert scan(sequence_view(lucas), 300).empirical_lower == 1
-    assert scan(sequence_view(square_disc_family(6)), 50).empirical_lower % 6 == 0
+    assert scan(sequence_view(example_seq).terms(200)).empirical_lower % 6 == 0
+    assert scan(sequence_view(lucas).terms(300)).empirical_lower == 1
+    assert scan(sequence_view(square_disc_family(6)).terms(50)).empirical_lower % 6 == 0
 
 
 def test_table_bounds_examples(example_seq, order4_seq, lucas):
@@ -191,18 +216,16 @@ def test_power_scan_sampled_indices(lucas):
     base = sequence_view(lucas)
     for t in (2, 3, 4):
         horizon = int(2000 ** (1 / t))
-        view = power_subsequence(base, t)
-        assert scan(view, horizon).violations == ()
+        assert scan(power_terms(base, t, horizon)).violations == ()
 
 
 def test_integer_power_sequences_pass_all_checks():
     for x in range(-3, 4):
-        view = raw_view([x**n for n in range(1, 301)])
-        assert scan(view, 300).violations == ()
+        assert scan(exact_terms([x**n for n in range(1, 301)])).violations == ()
 
 
 def _differential_views(seed):
-    """Order 1-3 sequences with negative and zero terms, as recurrence, raw (int and b-file) and power views."""
+    """Order 1-3 sequences with negative and zero terms: recurrence, int list, b-file Decimals and powers t = 2, 3."""
     rng = random.Random(seed)
     specs = [make_recurrence([0, -1], [0, 1]), make_recurrence([1, -1], [0, -2])]  # periodic, with zero terms
     for order in (1, 2, 3):
@@ -213,32 +236,33 @@ def _differential_views(seed):
     for spec in specs:
         ints = [sequence_view(spec).term(n) for n in range(1, 201)]
         bfile = parse_bfile("# seeded\n" + "".join(f"{n} {v}\n" for n, v in enumerate(ints, start=1)))
-        yield sequence_view(spec), 200
-        yield raw_view(ints), 200
-        yield raw_view([v for _, v in bfile.entries]), 200
-        yield power_subsequence(sequence_view(spec), 2), 30
-        yield power_subsequence(sequence_view(spec), 3), 9
+        yield _recurrence_case(spec, 200)
+        yield _list_case(exact_terms(ints), ints)
+        yield _list_case([v for _, v in bfile.entries], ints)
+        yield _power_case(spec, 2, 30)
+        yield _power_case(spec, 3, 9)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
 def test_decimal_scan_agrees_with_the_int_referees(seed):
-    """scan on Decimal values against mobius_sum and prime_power_check, which work on int terms.
+    """scan on Decimal values against S_n and the p^k congruences computed on int terms.
 
     For each prime p, p^v_p(n) divides S_n for every n <= N exactly when
     p^k divides A_(p^k s) - A_(p^(k-1) s) for every p^k s <= N with p not
     dividing s, so the primes in the deficiencies are the primes whose
     congruences fail.
     """
-    for view, horizon in _differential_views(seed):
-        sums = [mobius_sum(view, n) for n in range(1, horizon + 1)]
+    for terms, sum_at, congruence in _differential_views(seed):
+        horizon = len(terms)
+        sums = [sum_at(n) for n in range(1, horizon + 1)]
         assert all(type(s) is int for s in sums)
-        result = scan(view, horizon)
+        result = scan(terms)
         expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(sums, start=1) if s % n]
         assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
         assert list(result.sign_violations) == [n for n, s in enumerate(sums, start=1) if s < 0]
         for p in primes_up_to(horizon).primes:
             congruences_hold = all(
-                prime_power_check(view, p, k, s)
+                congruence(p, k, s)
                 for k in range(1, horizon.bit_length())
                 for s in range(1, horizon // p**k + 1)
                 if s % p

@@ -7,15 +7,15 @@ import pytest
 
 from doldseq.factorint import factor_over_Z, irreducibility_witness
 from doldseq.polyring import mul, normalize
+from doldseq.dold import mobius_sums
 from doldseq.recurrence import (
     analyze,
     TermSizeExceeded,
     char_poly,
     convenient_check,
+    exact_terms,
     make_recurrence,
-    power_subsequence,
-    raw_view,
-    scaled_view,
+    power_terms,
     sequence_view,
     square_disc_family,
     structure_test,
@@ -63,10 +63,11 @@ def test_term_guard():
 
 
 def test_raw_view_bounds():
-    view = raw_view([5, 6, 7])
-    assert view.term(2) == 6
-    with pytest.raises(IndexError):
-        view.term(4)
+    # given terms bound their own scan: the horizon is the length of the list
+    terms = exact_terms([5, 6, 7])
+    assert terms[1] == 6
+    assert mobius_sums(terms) == [5, 1, 2]
+    assert mobius_sums(terms[:2]) == [5, 1]
 
 
 # -- trace sequences ---------------------------------------------------------
@@ -74,12 +75,12 @@ def test_raw_view_bounds():
 
 def test_trace_sequence_examples():
     lucas = trace_sequence([-1, -1, 1])
-    assert [lucas.view.term(n) for n in range(1, 6)] == [1, 3, 4, 7, 11]
+    assert [lucas.term(n) for n in range(1, 6)] == [1, 3, 4, 7, 11]
     const = trace_sequence([-1, 1])
-    assert [const.view.term(n) for n in range(1, 5)] == [1, 1, 1, 1]
+    assert [const.term(n) for n in range(1, 5)] == [1, 1, 1, 1]
     ex = trace_sequence([-3, -12, 1])
-    assert [ex.view.term(n) for n in range(1, 4)] == [12, 150, 1836]
-    assert ex.view.term(3) == 6 * 306
+    assert [ex.term(n) for n in range(1, 4)] == [12, 150, 1836]
+    assert ex.term(3) == 6 * 306
 
 
 # -- structure test ----------------------------------------------------------
@@ -101,7 +102,7 @@ def test_structure_soundness_to_200(example_seq, order4_seq):
         verdict = structure_test(analyze(spec))
         assert verdict.almost
         view = sequence_view(spec)
-        traces = [(trace_sequence(list(f)).view, l) for f, l in verdict.coefficients]
+        traces = [(trace_sequence(list(f)), l) for f, l in verdict.coefficients]
         for n in range(1, 201):
             assert Fraction(view.term(n)) == sum(l * t.term(n) for t, l in traces)
 
@@ -110,8 +111,7 @@ def test_trace_sequences_feed_back_with_coefficient_one():
     rng = random.Random(83)
     for _ in range(10):
         f = random_irreducible(rng, rng.randrange(1, 5))
-        tr = trace_sequence(f)
-        verdict = structure_test(analyze(tr.view.spec))
+        verdict = structure_test(analyze(trace_sequence(f).spec))
         assert verdict.almost
         assert verdict.coefficients == ((tuple(f), Fraction(1)),)
 
@@ -121,7 +121,7 @@ def test_certified_convenient_implies_single_factor(fibonacci):
     specs = [fibonacci]
     for _ in range(10):
         f = random_irreducible(rng, rng.randrange(2, 5))
-        specs.append(trace_sequence(f).view.spec)
+        specs.append(trace_sequence(f).spec)
     for spec in specs:
         status, _ = convenient_check(analyze(spec), 300)
         if status != "certified":
@@ -163,19 +163,13 @@ def test_reducible_shortcut_agrees_with_witness_search():
 
 def test_power_subsequence_examples(fibonacci, order4_variant):
     fib = sequence_view(fibonacci)
-    sq = power_subsequence(fib, 2)
-    assert sq.term(3) == 34  # F_9
-    assert power_subsequence(fib, 1) is fib
+    assert power_terms(fib, 2, 3)[2] == fib.term(9) == 34
+    assert power_terms(fib, 1, 5) == fib.terms(5)
     base = sequence_view(order4_variant)
-    assert power_subsequence(base, 4).term(2) == base.term(16)
+    assert power_terms(base, 4, 2)[1] == base.term(16)
+    assert power_terms(base, 3, 0) == []
     with pytest.raises(ValueError):
-        power_subsequence(fib, 0)
-
-
-def test_scaled_view(example_seq):
-    view = sequence_view(example_seq)
-    scaled = scaled_view(view, 6, 5)
-    assert [scaled.term(n) for n in range(1, 6)] == [6 * view.term(n) for n in range(1, 6)]
+        power_terms(fib, 0, 3)
 
 
 def test_square_disc_family_examples():

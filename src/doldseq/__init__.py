@@ -23,7 +23,7 @@ from .factorint import (
     irreducibility_witness,
     root_density,
 )
-from .numth import PrimeSieve, legendre, mobius, p_valuation, primes_up_to, radical_int
+from .numth import legendre, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import discriminant, power_sums, resultant, squarefree_part
 from .recurrence import (
     Analysis,

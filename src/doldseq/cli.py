@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Parsing never mutates it.  Each subcommand declares only the flags it reads.
     """
-    parser = argparse.ArgumentParser(prog="doldseq", description=__doc__)
+    parser = argparse.ArgumentParser(prog="doldseq", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_parser(name, help, *flags, spec=True):

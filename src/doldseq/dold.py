@@ -95,7 +95,7 @@ def mobius_sums(terms: list[Decimal]) -> list[Decimal]:
     sums = [Decimal(0), *terms]
     if horizon >= 2:
         with localcontext(EXACT):
-            for p in primes_up_to(horizon).primes:
+            for p in primes_up_to(horizon):
                 sums[p::p] = map(operator.sub, sums[p::p], sums[1 : horizon // p + 1])
     return sums[1:]
 
@@ -277,7 +277,7 @@ def _splitting_degree_multiple(cpoly: IntPoly, disc: int, prime_bound: int = 100
     """
     cap = math.factorial(degree(cpoly))
     m = 1
-    for p in primes_up_to(prime_bound).primes:
+    for p in primes_up_to(prime_bound):
         if disc % p == 0:
             continue
         m = lcm_list([m, *_gf_degrees(cpoly, p)])

@@ -1,7 +1,7 @@
 """Factorization of monic integer polynomials and mod-p diagnostics.
 
-The integer route is classical Zassenhaus: squarefree split, factorization
-modulo a prime that keeps the polynomial squarefree, Hensel lifting past
+The integer route is classical Zassenhaus on the squarefree part:
+factorization modulo a prime that keeps it squarefree, Hensel lifting past
 the Mignotte coefficient bound, then exhaustive subset recombination.
 Everything is deterministic: the randomized equal-degree splitting is
 seeded from the input.
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numth import UnsupportedSizeError, is_prime, primes_up_to, small_primes
+from .numth import UnsupportedSizeError, is_prime, primes_up_to
 from .polyring import (
     IntPoly,
     add,
@@ -31,7 +31,6 @@ from .polyring import (
     derivative,
     discriminant,
     divmod_exact,
-    gcd_monic,
     is_monic,
     mul,
     normalize,
@@ -51,7 +50,7 @@ from .polyring import (
 MAX_DEGREE = 12
 MAX_COEFF = 10**6
 # Largest prime search bound of irreducibility_witness and root_density;
-# both sieve every prime up to the bound before they test the first one.
+# both grow the shared prime table to the bound before they test the first prime.
 MAX_PRIME_BOUND = 10**5
 
 @dataclass(frozen=True)
@@ -280,26 +279,9 @@ def _mignotte_bound(f: IntPoly) -> int:
     return 2 ** len(f) * norm
 
 
-def _squarefree_decomposition(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's algorithm for monic f over Z: pairwise coprime squarefree parts."""
-    out = []
-    g = gcd_monic(f, derivative(f))
-    w = divmod_exact(f, g)[0]
-    i = 1
-    while degree(w) > 0:
-        y = gcd_monic(w, g)
-        z = divmod_exact(w, y)[0]
-        if degree(z) > 0:
-            out.append((z, i))
-        w = y
-        g = divmod_exact(g, y)[0]
-        i += 1
-    return out
-
-
 def _good_prime(f: IntPoly) -> int:
     fd = derivative(f)
-    for p in small_primes(10_000):
+    for p in primes_up_to(10_000):
         if len(zm_gcd(f, fd, p)) == 1:
             return p
     raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
@@ -359,14 +341,19 @@ def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
         raise UnsupportedSizeError(f"coefficient magnitude exceeds supported envelope {MAX_COEFF}")
     if degree(f) == 0:
         return Factorization(())
-    # a nonzero discriminant means f is already squarefree
+    # a nonzero discriminant means f is already squarefree, so every multiplicity is 1
     if disc is None:
         disc = discriminant(f)
-    parts = [(f, 1)] if disc else _squarefree_decomposition(f)
     factors: list[tuple[tuple[int, ...], int]] = []
-    for sqf, mult in parts:
-        for irr in _factor_squarefree_over_Z(sqf):
-            factors.append((tuple(irr), mult))
+    for irr in _factor_squarefree_over_Z(f if disc else squarefree_part(f)):
+        mult = 1
+        if not disc:
+            # irr divides f; each further exact division by it adds one to its multiplicity
+            quotient, rest = divmod_exact(divmod_exact(f, irr)[0], irr)
+            while not rest:
+                mult += 1
+                quotient, rest = divmod_exact(quotient, irr)
+        factors.append((tuple(irr), mult))
     factors.sort(key=lambda t: _sort_key(t[0]))
     return Factorization(tuple(factors))
 
@@ -398,7 +385,7 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
         raise ValueError("search bound must be at least 2")
     _check_prime_bound(search_bound)
     irreducible = (degree(f),)
-    for p in primes_up_to(search_bound).primes:
+    for p in primes_up_to(search_bound):
         if disc % p and _gf_degrees(f, p) == irreducible:
             return p
     return None
@@ -423,7 +410,7 @@ def root_density(f: IntPoly, prime_bound: int) -> Fraction:
     disc = discriminant(f) or discriminant(squarefree_part(f))
     hits = 0
     total = 0
-    for p in primes_up_to(prime_bound).primes:
+    for p in primes_up_to(prime_bound):
         if disc % p == 0:
             continue
         total += 1

@@ -1,34 +1,38 @@
-"""Elementary exact number theory: sieve, factoring helpers, Mobius, Legendre."""
+"""Elementary exact number theory: the prime table, factoring helpers, Mobius, Legendre."""
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 
 class UnsupportedSizeError(ValueError):
     """Input exceeds the size envelope this package commits to."""
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
-    """Complete ascending list of primes up to ``limit``."""
-
-    limit: int
-    primes: tuple[int, ...]
+# The one prime table: every prime <= _table_limit, built on first use and grown on demand.
+_table: tuple[int, ...] = ()
+_table_limit = 0
 
 
-def primes_up_to(limit: int) -> PrimeSieve:
-    """Eratosthenes sieve; returns every prime <= limit."""
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """Every prime <= limit, ascending, cut from the shared table.
+
+    A limit past the table sieves a new one to at least twice the old
+    limit (10,000 the first time), so the table grows a bounded number of times.
+    """
+    global _table, _table_limit
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return PrimeSieve(limit, tuple(i for i in range(limit + 1) if flags[i]))
+    if limit > _table_limit:
+        _table_limit = max(limit, 2 * _table_limit, 10_000)
+        flags = bytearray([1]) * (_table_limit + 1)
+        flags[0] = flags[1] = 0
+        for p in range(2, math.isqrt(_table_limit) + 1):
+            if flags[p]:
+                flags[p * p :: p] = bytes(len(range(p * p, _table_limit + 1, p)))
+        _table = tuple(i for i in range(_table_limit + 1) if flags[i])
+    return _table[: bisect.bisect_right(_table, limit)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,23 +63,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Shared small-prime table for trial division; grown on demand.
-_sieve: PrimeSieve = primes_up_to(10_000)
-
-
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    global _sieve
-    if bound > _sieve.limit:
-        _sieve = primes_up_to(max(bound, 2 * _sieve.limit))
-    return _sieve.primes
-
-
-def small_primes(limit: int) -> tuple[int, ...]:
-    """Every prime <= limit, ascending, cut from the shared sieve."""
-    primes = _trial_primes(limit)
-    return primes[: bisect.bisect_right(primes, limit)]
-
-
 _TRIAL_LIMIT = 10**6
 
 
@@ -89,7 +76,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: list[tuple[int, int]] = []
-    for p in _trial_primes(min(math.isqrt(n), _TRIAL_LIMIT)):
+    for p in primes_up_to(max(2, min(math.isqrt(n), _TRIAL_LIMIT))):
         if p * p > n:
             break
         if n % p == 0:

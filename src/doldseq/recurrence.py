@@ -217,37 +217,6 @@ class StructureVerdict:
     refutation_index: int | None = None
 
 
-def _solve_prefix(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solution of an overdetermined exact system, or None if inconsistent.
-
-    Free variables are set to zero; every equation is verified.
-    """
-    m = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [a / inv for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][m]
-    return sol
-
-
 def structure_test(analysis: Analysis) -> StructureVerdict:
     """Decide whether the sequence is a rational combination of trace sequences.
 
@@ -256,19 +225,34 @@ def structure_test(analysis: Analysis) -> StructureVerdict:
     d x m linear system U_n = sum l_i V^(i)_n for n = 1..d.  Both sides
     satisfy the order-d recurrence (each C_i divides the characteristic
     polynomial), so agreement on d initial terms extends to every n.
+
+    The equations are reduced in order against the rows kept so far, and
+    the first that reduces to 0 = nonzero is the refutation index: the
+    least n whose prefix system is inconsistent.  A consistent system has
+    one solution, so no free variable is ever chosen: the roots of the
+    C_i are distinct and nonzero (r_d != 0), so the columns V^(i) over
+    n = 1..d are linearly independent.
     """
     spec = analysis.spec
     gens = [list(f) for f, _ in analysis.factorization.factors]
     d = spec.order
+    m = len(gens)
     columns = [power_sums(g, d) for g in gens]
-    rows = [[Fraction(columns[i][n]) for i in range(len(gens))] for n in range(d)]
-    rhs = [Fraction(u) for u in spec.initial]
-    solution = _solve_prefix(rows, rhs)
-    if solution is None:
-        for n in range(1, d + 1):
-            if _solve_prefix(rows[:n], rhs[:n]) is None:
-                return StructureVerdict(almost=False, refutation_index=n)
-        return StructureVerdict(almost=False, refutation_index=d)
+    kept: list[tuple[int, list[Fraction]]] = []  # (pivot column, row scaled to 1 there)
+    for n in range(d):
+        row = [Fraction(column[n]) for column in columns] + [Fraction(spec.initial[n])]
+        for col, pivot_row in kept:
+            if factor := row[col]:
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        col = next((i for i in range(m) if row[i]), None)
+        if col is None:
+            if row[m]:
+                return StructureVerdict(almost=False, refutation_index=n + 1)
+            continue
+        kept.append((col, [a / row[col] for a in row]))
+    solution = [Fraction(0)] * m
+    for col, row in reversed(kept):
+        solution[col] = row[m] - sum(row[i] * solution[i] for i in range(m) if i != col)
     coeffs = tuple((tuple(g), l) for g, l in zip(gens, solution))
     return StructureVerdict(almost=True, coefficients=coeffs)
 

@@ -110,7 +110,7 @@ def first_mobius_failure(terms, horizon):
 
 def first_prime_power_failure(terms, horizon):
     worst = None
-    for p in primes_up_to(horizon).primes:
+    for p in primes_up_to(horizon):
         k = 1
         while p**k <= horizon:
             for s in range(1, horizon // p**k + 1):

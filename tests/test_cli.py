@@ -112,9 +112,13 @@ def test_report_round_trip():
 # -- golden files for the documented invocations -----------------------------
 #
 # The benchmark self-test reads every top-level golden as a recurrence scan
-# report, so the goldens of the algebra commands sit in golden/algebra/ and
-# the b-file golden, with its b-file, in golden/bfile/.  That b-file has
-# offset 0, a negative term and an index gap, so both warnings appear.
+# report and edits its first violation, so the goldens of the algebra
+# commands sit in golden/algebra/, the b-file golden, with its b-file, in
+# golden/bfile/, and the goldens of repeated-root characteristic polynomials
+# in golden/fail/.  That b-file has offset 0, a negative term and an index
+# gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
+# is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
+# (x - 1)^2 (x - 2) and the structure test refutes at n = 3.
 
 GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
@@ -123,6 +127,8 @@ GOLDEN_CASES = [
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
     ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
+    ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
+    ("fail/repeated_root_refuted", ["fail", "--coeffs", "4,-5,2", "--initial", "1,2,9", "--horizon", "30"]),
 ]
 
 
@@ -151,6 +157,12 @@ def test_golden_key_facts(run_cli):
     # 6 meets only the radical of a heuristic bound, so it is not claimed as exact
     assert doc["empirical_lower"] == "6" and doc["fail"] is None
     assert "exactness_source" not in doc
+    cases = dict(GOLDEN_CASES)
+    doc = json.loads(run_cli(cases["fail/repeated_quadratic"])[1])
+    assert doc["exact"] == "2"
+    assert doc["structure"]["coefficients"][0]["value"] == {"numerator": "1", "denominator": "2"}
+    doc = json.loads(run_cli(cases["fail/repeated_root_refuted"])[1])
+    assert doc["structure"] == {"almost": False, "refutation_index": "3"}
 
 
 # -- exit-code contract ------------------------------------------------------
@@ -337,6 +349,21 @@ def test_abbreviated_flag_is_an_input_error(run_cli, tmp_path, argv, full, abbre
     validate(out)
 
 
+def test_top_level_flag_is_not_abbreviated(capsys):
+    # argparse would otherwise read --he as --help: print the usage and exit 0 without running check
+    code = cli.run_command(["--he", "check", "--coeffs", "1,1", "--initial", "1,1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(out) == {"schema_version": "1", "command": "check", "error": "unrecognized arguments: --he"}
+    validate(out)
+    assert cli.run_command(["--he"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: doldseq")
+    for flag in ("-h", "--help"):
+        assert cli.run_command([flag]) == 0
+        assert capsys.readouterr().out.startswith("usage: doldseq")
+
+
 def test_power_nonpositive_exponent_is_an_input_error(run_cli):
     for t in ("0", "-2"):
         code, out = run_cli(["power", "--t", t, "--coeffs", "1,1", "--initial", "1,1", "--horizon", "5"])
@@ -442,11 +469,16 @@ def test_prime_bound_above_the_ceiling_is_a_guard_stop(run_cli, monkeypatch, com
     code, _ = run_cli([*argv, "--prime-bound", str(ceiling)])
     assert code == 0
 
-    def no_sieve(limit):
-        raise AssertionError(f"sieve up to {limit} built past the ceiling")
+    primes_up_to = factorint.primes_up_to
 
-    # the guard stops the request before any prime is sieved
-    monkeypatch.setattr(factorint, "primes_up_to", no_sieve)
+    def no_sieve_past_the_ceiling(limit):
+        if limit > ceiling:
+            raise AssertionError(f"sieve up to {limit} built past the ceiling")
+        return primes_up_to(limit)
+
+    # the guard stops the request before any prime past the ceiling is sieved;
+    # factoring over Z still reads the shared table below it
+    monkeypatch.setattr(factorint, "primes_up_to", no_sieve_past_the_ceiling)
     for bound in (ceiling + 1, 10**9):
         code, out = run_cli([*argv, "--prime-bound", str(bound)])
         assert code == 2, (command, bound)

@@ -260,7 +260,7 @@ def test_decimal_scan_agrees_with_the_int_referees(seed):
         expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(sums, start=1) if s % n]
         assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
         assert list(result.sign_violations) == [n for n, s in enumerate(sums, start=1) if s < 0]
-        for p in primes_up_to(horizon).primes:
+        for p in primes_up_to(horizon):
             congruences_hold = all(
                 congruence(p, k, s)
                 for k in range(1, horizon.bit_length())

@@ -8,6 +8,7 @@ import pytest
 
 from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
+    MAX_COEFF,
     _gf_degrees,
     factor_mod_p,
     factor_over_Z,
@@ -195,6 +196,40 @@ def test_factor_over_Z_roundtrip_sample():
         assert fz.expand() == f
 
 
+def test_factor_over_Z_reads_multiplicities():
+    # a zero discriminant: the squarefree part is factored and each
+    # multiplicity is read by exact division of f
+    rng = random.Random(103)
+    checked = 0
+    while checked < 40:
+        blocks = {}
+        total = 0
+        while total < 6:
+            g = tuple(random_irreducible(rng, rng.randrange(1, 4), bound=3))
+            e = rng.randrange(2 if not blocks else 1, 4)
+            if g not in blocks and total + e * (len(g) - 1) <= 12:
+                blocks[g] = e
+                total += e * (len(g) - 1)
+        f = [1]
+        for g, e in blocks.items():
+            for _ in range(e):
+                f = mul(f, list(g))
+        if any(abs(c) > MAX_COEFF for c in f):
+            continue
+        assert discriminant(f) == 0
+        assert factor_over_Z(f).factors == tuple(sorted(blocks.items(), key=lambda t: (len(t[0]), t[0])))
+        checked += 1
+
+
+def test_factor_over_Z_repeated_factors_match_kronecker():
+    rng = random.Random(107)
+    for _ in range(150):
+        g = random_irreducible(rng, rng.randrange(1, 3), bound=6)
+        rest = [rng.randrange(-6, 7) for _ in range(rng.randrange(0, 5 - 2 * (len(g) - 1)))] + [1]
+        f = mul(mul(g, g), rest)
+        assert factorization_multiset(factor_over_Z(f)) == kronecker_factor(f)
+
+
 def test_factor_over_Z_envelope():
     with pytest.raises(UnsupportedSizeError):
         factor_over_Z([0] * 13 + [1])
@@ -242,7 +277,7 @@ def test_hensel_lift_product_congruence():
     for _ in range(20):
         roots = rng.sample(range(-8, 9), rng.randrange(2, 4))
         f = poly_from_roots(roots)
-        p = next(q for q in primes_up_to(100).primes if discriminant(f) % q)
+        p = next(q for q in primes_up_to(100) if discriminant(f) % q)
         seeds = [g for g, _ in factor_mod_p(f, p)]
         k = rng.randrange(2, 5)
         lifted = hensel_lift(f, seeds, p, k)
@@ -298,7 +333,7 @@ def test_gf_degrees_matches_legendre():
         disc = discriminant(f)
         if not factor_over_Z(f).is_irreducible():
             continue
-        for p in primes_up_to(500).primes:
+        for p in primes_up_to(500):
             if p == 2 or disc % p == 0:
                 continue
             expected = (2,) if legendre(disc, p) == -1 else (1, 1)
@@ -314,8 +349,7 @@ def test_root_density_linear_and_bounds():
 
 def test_squarefree_fast_path_agrees_with_yun():
     # a nonzero discriminant stands in for gcd(f, f') = 1 in factor_over_Z,
-    # irreducibility_witness and root_density; Yun's split is the reference
-    from doldseq.factorint import _squarefree_decomposition
+    # irreducibility_witness and root_density
     from doldseq.polyring import degree, derivative, gcd_monic
 
     rng = random.Random(97)
@@ -326,8 +360,6 @@ def test_squarefree_fast_path_agrees_with_yun():
             f = mul(f, mul(g, g) if rng.random() < 0.3 else g)
         squarefree = degree(gcd_monic(f, derivative(f))) == 0
         assert (discriminant(f) != 0) == squarefree
-        if squarefree:
-            assert _squarefree_decomposition(f) == [(f, 1)]
 
 
 def test_given_discriminant_agrees_with_computed():
@@ -354,7 +386,7 @@ def referee_degrees(f, p):
 
 def referee_witness(f, bound):
     disc = discriminant(f)
-    for p in primes_up_to(bound).primes:
+    for p in primes_up_to(bound):
         if disc % p and len(factor_mod_p(f, p)) == 1:
             return p
     return None
@@ -363,7 +395,7 @@ def referee_witness(f, bound):
 def referee_splitting_degree(f, disc, bound):
     cap = math.factorial(degree(f))
     m = 1
-    for p in primes_up_to(bound).primes:
+    for p in primes_up_to(bound):
         if disc % p:
             m = math.lcm(m, *(len(g) - 1 for g, _ in factor_mod_p(f, p)))
             if m >= cap:
@@ -394,7 +426,7 @@ def degree_pool():
 
 
 DEGREE_POOL = degree_pool()
-SMALL_PRIMES = primes_up_to(60).primes
+SMALL_PRIMES = primes_up_to(60)
 
 
 @pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
@@ -436,6 +468,6 @@ def test_root_density_matches_root_search(f):
     # brute force: p divides f(a) for some 0 <= a < p, over the primes not dividing
     # the discriminant of the squarefree part
     disc = discriminant(squarefree_part(f))
-    unramified = [p for p in primes_up_to(1000).primes if disc % p]
+    unramified = [p for p in primes_up_to(1000) if disc % p]
     hits = sum(any(evaluate(f, a) % p == 0 for a in range(p)) for p in unramified)
     assert root_density(f, 1000) == Fraction(hits, len(unramified))

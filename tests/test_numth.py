@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from doldseq import numth
 from doldseq.numth import (
     UnsupportedSizeError,
     divisors,
@@ -65,13 +66,36 @@ def test_legendre_rejects_two_and_composites():
 
 
 def test_primes_up_to_examples():
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
-    assert primes_up_to(2).primes == (2,)
-    assert len(primes_up_to(30).primes) == 10
+    assert primes_up_to(10) == (2, 3, 5, 7)
+    assert primes_up_to(2) == (2,)
+    assert len(primes_up_to(30)) == 10
+
+
+def test_prime_table_grows_on_demand(monkeypatch):
+    def naive_is_prime(n):
+        return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+    # start from the empty table of a fresh import, whatever earlier tests grew
+    monkeypatch.setattr(numth, "_table", ())
+    monkeypatch.setattr(numth, "_table_limit", 0)
+    for limit in (10, 50_000, 30, 10_000):
+        primes = primes_up_to(limit)
+        assert type(primes) is tuple
+        assert primes == tuple(n for n in range(limit + 1) if naive_is_prime(n))
+    with pytest.raises(ValueError):
+        primes_up_to(1)
+
+    monkeypatch.setattr(numth, "_table", ())
+    monkeypatch.setattr(numth, "_table_limit", 0)
+    assert factorize(1) == []
+    assert factorize(2) == [(2, 1)]
+    assert factorize(3) == [(3, 1)]
+    # the square root of 10007 * 10009 lies past the first table
+    assert factorize(10007 * 10009) == [(10007, 1), (10009, 1)]
 
 
 def test_is_prime_matches_sieve():
-    sieve = set(primes_up_to(2000).primes)
+    sieve = set(primes_up_to(2000))
     for n in range(2001):
         assert is_prime(n) == (n in sieve)
 
@@ -101,7 +125,7 @@ def test_radical_divides_and_is_squarefree():
 
 def test_legendre_euler_criterion():
     rng = random.Random(7)
-    odd_primes = [p for p in primes_up_to(500).primes if p > 2]
+    odd_primes = [p for p in primes_up_to(500) if p > 2]
     for _ in range(200):
         p = rng.choice(odd_primes)
         a = rng.randrange(-1000, 1000)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from doldseq.factorint import factor_over_Z, irreducibility_witness
-from doldseq.polyring import mul, normalize
+from doldseq.polyring import mul, normalize, power_sums
 from doldseq.dold import mobius_sums
 from doldseq.recurrence import (
     analyze,
@@ -129,6 +129,88 @@ def test_certified_convenient_implies_single_factor(fibonacci):
         verdict = structure_test(analyze(spec))
         if verdict.almost:
             assert len(verdict.coefficients) == 1
+
+
+def referee_rank(rows):
+    """Rank over Q of a list of Fraction rows, by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def spec_of(f, initial):
+    d = len(f) - 1
+    return make_recurrence([-f[d - i] for i in range(1, d + 1)], initial)
+
+
+def structure_pool():
+    """Seeded specs of order 1..6: random, repeated-factor products, and combinations of trace sequences."""
+    rng = random.Random(131)
+    pool = []
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        coeffs = [rng.randrange(-5, 6) for _ in range(d - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        pool.append(make_recurrence(coeffs, [rng.randrange(-9, 10) for _ in range(d)]))
+    while len(pool) < 120:
+        f = [1]
+        gens = []
+        while len(f) < 5:
+            g = random_irreducible(rng, rng.randrange(1, 3), bound=3)
+            if g in gens:
+                continue
+            gens.append(g)
+            for _ in range(rng.randrange(1, 3)):
+                f = mul(f, g)
+        if len(f) - 1 > 6:
+            continue
+        d = len(f) - 1
+        if len(pool) < 80:
+            # a repeated factor with random initial terms
+            pool.append(spec_of(f, [rng.randrange(-9, 10) for _ in range(d)]))
+            continue
+        # sum l_i V^(i) with rational l_i, kept when its first d terms are integers
+        traces = [power_sums(g, d) for g in gens]
+        den = rng.choice([1, 2, 3, 4])
+        weights = [Fraction(rng.randrange(-6, 7), den) for _ in gens]
+        initial = [sum(l * t[n] for l, t in zip(weights, traces)) for n in range(d)]
+        if all(u.denominator == 1 for u in initial):
+            pool.append(spec_of(f, [int(u) for u in initial]))
+    return pool
+
+
+def test_structure_test_matches_rank_referee():
+    refutations = set()
+    almost = 0
+    for spec in structure_pool():
+        analysis = analyze(spec)
+        gens = [list(g) for g, _ in analysis.factorization.factors]
+        d = spec.order
+        traces = [power_sums(g, 2 * d) for g in gens]
+        P = [[Fraction(t[n]) for t in traces] for n in range(d)]
+        PU = [row + [Fraction(u)] for row, u in zip(P, spec.initial)]
+        expected = next((n for n in range(1, d + 1) if referee_rank(PU[:n]) > referee_rank(P[:n])), None)
+        verdict = structure_test(analysis)
+        assert verdict.refutation_index == expected, spec
+        assert verdict.almost == (expected is None), spec
+        if verdict.almost:
+            almost += 1
+            assert [list(g) for g, _ in verdict.coefficients] == gens
+            terms = sequence_view(spec).terms(2 * d)
+            for n in range(2 * d):
+                assert sum(l * t[n] for (_, l), t in zip(verdict.coefficients, traces)) == int(terms[n]), spec
+        else:
+            refutations.add(expected)
+    # the pool reaches both verdicts and refutes at several indices
+    assert almost >= 40 and len(refutations) >= 3
 
 
 def test_convenient_check_examples(fibonacci, order4_seq):

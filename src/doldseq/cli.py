@@ -478,7 +478,12 @@ def _cmd_density(args) -> dict:
     if not poly or poly[-1] != 1:
         raise InputError("--poly must be monic (last coefficient 1)")
     prime_bound = _at_least("--prime-bound", args.prime_bound, 100, " for density")
-    density = root_density(poly, prime_bound)
+    try:
+        density = root_density(poly, prime_bound)
+    except UnsupportedSizeError:
+        raise
+    except ValueError as exc:  # every prime up to the bound is ramified
+        raise InputError(str(exc)) from None
     return {
         "poly": poly_to_string(poly),
         "prime_bound": prime_bound,

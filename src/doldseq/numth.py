@@ -35,14 +35,26 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return _table[: bisect.bisect_right(_table, limit)]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the bases above prove primality below it (see is_prime)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin with the prime bases 2..41, proven for every n < psi_13.
+
+    psi_13 = 3317044064679887385961981 = 1287836182261 * 2575672364521 is
+    the least strong pseudoprime to all thirteen bases (Sorenson and
+    Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+    2017); the bases 2..37 alone stop being a proof at psi_12 =
+    318665857834031151167461 = 399165290221 * 798330580441.  An n >= psi_13
+    raises UnsupportedSizeError rather than get a probable-prime answer.
+    """
+    if n >= _MR_LIMIT:
+        raise UnsupportedSizeError(f"primality is proven only below {_MR_LIMIT}, not for a {n.bit_length()}-bit number")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -71,7 +83,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Only meant for the desk-scale integers this package factors
     (discriminants, bounds); raises UnsupportedSizeError when a cofactor
-    survives trial division to 10**6 and is not prime.
+    survives trial division to 10**6 and is not prime, or is too large
+    for ``is_prime`` to prove it prime (psi_13 or more).
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")

@@ -118,13 +118,15 @@ def test_report_round_trip():
 # in golden/fail/.  That b-file has offset 0, a negative term and an index
 # gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
 # is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
-# (x - 1)^2 (x - 2) and the structure test refutes at n = 3.
+# (x - 1)^2 (x - 2) and the structure test refutes at n = 3.  The primes of
+# algebra/density_quadratic_10000 lie on both sides of root_density's batch limit.
 
 GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
     ("check_fibonacci", ["check", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "50"]),
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
+    ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
     ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
     ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
     ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
@@ -694,6 +696,18 @@ def test_density_prime_bound_below_100_is_an_input_error(run_cli):
     code, out = run_cli(["density", "--poly", "1,0,1", "--prime-bound", "100"])
     assert code == 0
     assert json.loads(out)["prime_bound"] == "100"
+
+
+def test_density_with_no_unramified_prime_is_an_input_error(run_cli):
+    # the constant term is minus the product of the primes <= 100, so each of them divides the discriminant
+    poly = "--poly=-2305567963945518424753102147331756070,0,1"
+    code, out = run_cli(["density", poly, "--prime-bound", "100"])
+    assert code == 1
+    assert "every prime <= 100" in json.loads(out)["error"]
+    validate(out)
+    code, out = run_cli(["density", poly, "--prime-bound", "101"])
+    assert code == 0
+    assert json.loads(out)["density"] == {"numerator": "0", "denominator": "1"}
 
 
 def test_bfile_check_powers_of_two(run_cli, tmp_path):

@@ -8,8 +8,11 @@ import pytest
 
 from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
+    _BATCH_COEFF_BITS,
+    _BATCH_PRIME_LIMIT,
     MAX_COEFF,
     _gf_degrees,
+    _has_root_mod_p,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
@@ -471,3 +474,68 @@ def test_root_density_matches_root_search(f):
     unramified = [p for p in primes_up_to(1000) if disc % p]
     hits = sum(any(evaluate(f, a) % p == 0 for a in range(p)) for p in unramified)
     assert root_density(f, 1000) == Fraction(hits, len(unramified))
+
+
+# -- the batched root test against the per-prime Frobenius gcd ---------------
+#
+# root_density tests the primes up to _BATCH_PRIME_LIMIT with one product and
+# each larger prime with gcd(f, x^p - x); 4093 and 4099 are the primes on either
+# side of the limit.
+
+DENSITY_BOUNDS = (100, 4093, 4099, 10_000)
+
+
+def batched_density_pool():
+    """Monic polynomials of degree 0-12, with x, integer roots, a repeated factor and long coefficients.
+
+    The root -1 of x + 1 is the residue p - 1, the last value the product
+    takes.  A 64-bit coefficient still takes the product route, a 65-bit one
+    sends every prime to the gcd.
+    """
+    rng = random.Random(4096)
+    pool = [random_monic(rng, deg) for deg in range(13)]
+    pool += [[0, 1], [1, 1], mul([7, 1], random_monic(rng, 3)), mul(mul([2, 1, 1], [2, 1, 1]), [-5, 0, 1])]
+    pool += [[2**64 - 1, 5, -(2**63), 1], [2**64 + 3, 0, 1]]
+    return [normalize(f) for f in pool]
+
+
+@pytest.mark.parametrize("f", batched_density_pool())
+def test_batched_root_density_matches_per_prime_gcd(f):
+    disc = discriminant(f) or discriminant(squarefree_part(f))
+    unramified = [p for p in primes_up_to(max(DENSITY_BOUNDS)) if disc % p]
+    hit = {p for p in unramified if _has_root_mod_p(zm_reduce(f, p), p)}
+    for bound in DENSITY_BOUNDS:
+        counted = [p for p in unramified if p <= bound]
+        assert root_density(f, bound) == Fraction(len(hit.intersection(counted)), len(counted))
+    # brute force: p divides f(a) for some 0 <= a < p
+    counted = [p for p in unramified if p <= 100]
+    brute = sum(any(evaluate(f, a) % p == 0 for a in range(p)) for p in counted)
+    assert root_density(f, 100) == Fraction(brute, len(counted))
+
+
+def test_batched_density_pool_reaches_every_case():
+    assert 4093 < _BATCH_PRIME_LIMIT < 4099
+    pool = batched_density_pool()
+    assert {degree(f) for f in pool} == set(range(13))
+    assert [0, 1] in pool
+    assert any(evaluate(f, -7) == 0 for f in pool)
+    assert any(discriminant(f) == 0 for f in pool)
+    widths = {max(abs(c) for c in f).bit_length() for f in pool}
+    assert _BATCH_COEFF_BITS in widths and _BATCH_COEFF_BITS + 1 in widths
+
+
+@pytest.mark.parametrize("D", [-1, 2, 3, -3, 5, 12, -163, 1001])
+def test_quadratic_root_density_is_the_legendre_count(D):
+    # disc(x^2 - D) = 4D; for an odd prime p not dividing D, x^2 - D has a root
+    # mod p iff D is a nonzero square mod p
+    odd = [p for p in primes_up_to(10_000) if p > 2 and D % p]
+    hits = sum(legendre(D, p) == 1 for p in odd)
+    assert root_density([-D, 0, 1], 10_000) == Fraction(hits, len(odd))
+
+
+def test_root_density_refuses_a_bound_with_no_unramified_prime():
+    # x^2 - c with c the product of the primes <= 100: every such prime divides 4c
+    c = math.prod(primes_up_to(100))
+    with pytest.raises(ValueError, match="every prime <= 100 divides the discriminant"):
+        root_density([-c, 0, 1], 100)
+    assert root_density([-c, 0, 1], 101) == Fraction(legendre(c, 101) == 1, 1)

@@ -100,6 +100,32 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in sieve)
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to the prime bases 2..37 and 2..41
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_is_prime_refutes_psi_12():
+    assert PSI_12 == 318665857834031151167461
+    assert not is_prime(PSI_12)
+    # both factors lie past the trial-division limit, so no factorization is claimed
+    with pytest.raises(UnsupportedSizeError):
+        factorize(PSI_12)
+    # a prime cofactor below psi_13 is still proven prime
+    assert is_prime(2**61 - 1)
+    assert factorize(3 * (2**61 - 1)) == [(3, 1), (2**61 - 1, 1)]
+
+
+def test_is_prime_and_factorize_refuse_psi_13():
+    assert PSI_13 == 3317044064679887385961981
+    with pytest.raises(UnsupportedSizeError):
+        is_prime(PSI_13)
+    with pytest.raises(UnsupportedSizeError):
+        factorize(PSI_13)
+    # trial division alone still factors a large number
+    assert factorize(2**100 * 3) == [(2, 100), (3, 1)]
+
+
 def test_mobius_multiplicative_on_coprime_pairs():
     rng = random.Random(11)
     for _ in range(200):

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from decimal import MAX_EMAX, Decimal
 from fractions import Fraction
@@ -609,7 +610,15 @@ def run_command(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; with stdout pointed at devnull the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13  # as if killed by SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
-search and the splitting-degree search in ``dold`` need just the factor
+search needs just whether f is irreducible mod p, which
+``_gf_irreducible`` answers by distinct-degree steps that stop at the
+first factor.  The splitting-degree search in ``dold`` needs the factor
 degrees, which ``_gf_degrees`` reads off the squarefree and
 distinct-degree splits without equal-degree splitting, and
 ``root_density`` needs just whether f has a root mod p: one product of
@@ -146,6 +148,32 @@ def _gf_degrees(f: list[int], p: int) -> tuple[int, ...]:
             degrees += [d] * ((len(block) - 1) // d * mult)
     degrees.sort()
     return tuple(degrees)
+
+
+def _gf_irreducible(f: list[int], p: int) -> bool:
+    """Whether f, reduced, monic and squarefree over F_p, is irreducible there.
+
+    The witness search calls it on a monic integer f at a prime p that
+    does not divide disc(f).  Proof that the early exit is exact:
+
+    1. f is monic and p does not divide disc(f), so f mod p keeps its
+       degree d and has a nonzero discriminant: it is squarefree.
+    2. x^(p^i) - x is the product of the monic irreducibles over F_p whose
+       degree divides i, so gcd(f, x^(p^i) - x) is nontrivial iff f has an
+       irreducible factor of degree dividing i.
+    3. A reducible f of degree d has an irreducible factor of degree
+       <= d/2, which divides its own i <= d/2.
+
+    So f is irreducible iff the gcd is 1 for every i <= d/2, and the first
+    nontrivial gcd already proves it reducible.  Unlike ``_gf_degrees``
+    this needs no squarefree split and no further distinct-degree step.
+    """
+    h = x = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = zm_pow_mod(h, p, f, p)
+        if len(zm_gcd(f, sub(h, x), p)) > 1:
+            return False
+    return True
 
 
 def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -377,16 +405,19 @@ def _check_prime_bound(bound: int) -> None:
 
 
 def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = None) -> int | None:
-    """Smallest prime p <= bound with f squarefree and irreducible mod p.
+    """Smallest prime p <= bound with monic f squarefree and irreducible mod p.
 
     Such a p certifies that f stays irreducible modulo infinitely many
     primes (the mod-p factor degrees are the Frobenius cycle type, and a
     full-length cycle occurs with positive density).  None means no
     witness up to the bound: inconclusive.  A caller that already holds
-    the discriminant of f passes it as disc.  A bound above
-    MAX_PRIME_BOUND raises UnsupportedSizeError.
+    the discriminant of f passes it as disc.  Each prime not dividing disc
+    is tested by ``_gf_irreducible``.  A bound above MAX_PRIME_BOUND
+    raises UnsupportedSizeError.
     """
     f = normalize(f)
+    if not is_monic(f) or degree(f) < 1:
+        raise ValueError("irreducibility_witness requires a monic polynomial of positive degree")
     if disc is None:
         disc = discriminant(f)
     if disc == 0:
@@ -394,9 +425,8 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
     if search_bound < 2:
         raise ValueError("search bound must be at least 2")
     _check_prime_bound(search_bound)
-    irreducible = (degree(f),)
     for p in primes_up_to(search_bound):
-        if disc % p and _gf_degrees(f, p) == irreducible:
+        if disc % p and _gf_irreducible(zm_reduce(f, p), p):
             return p
     return None
 

@@ -120,6 +120,8 @@ def test_report_round_trip():
 # is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
 # (x - 1)^2 (x - 2) and the structure test refutes at n = 3.  The primes of
 # algebra/density_quadratic_10000 lie on both sides of root_density's batch limit.
+# The characteristic polynomial of algebra/witness_biquadratic, x^4 - 10x^2 + 1,
+# is reducible mod every prime, so its witness search scans every prime <= 300.
 
 GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
@@ -128,6 +130,10 @@ GOLDEN_CASES = [
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
     ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
+    (
+        "algebra/witness_biquadratic",
+        ["witness", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--prime-bound", "300"],
+    ),
     ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
     ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
     ("fail/repeated_root_refuted", ["fail", "--coeffs", "4,-5,2", "--initial", "1,2,9", "--horizon", "30"]),
@@ -584,6 +590,21 @@ def test_parser_is_not_built_at_import():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "0"
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the report (about 1 MB) outgrows the pipe's buffer, so the write fails once the reader is gone
+    src = pathlib.Path(doldseq.__file__).parent.parent
+    argv = ["gen", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "3000"]
+    probe = "from doldseq.cli import main; main()"  # main reads the arguments after -c
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", probe, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=60) == 141
 
 
 # -- flags and input channels ------------------------------------------------

@@ -12,6 +12,7 @@ from doldseq.factorint import (
     _BATCH_PRIME_LIMIT,
     MAX_COEFF,
     _gf_degrees,
+    _gf_irreducible,
     _has_root_mod_p,
     factor_mod_p,
     factor_over_Z,
@@ -410,13 +411,20 @@ def random_monic(rng, deg):
     return [rng.randrange(-9, 10) for _ in range(deg)] + [1]
 
 
+def biquadratic(a, b):
+    """x^4 - 2(a+b)x^2 + (a-b)^2, the minimal polynomial of sqrt(a) + sqrt(b)."""
+    return [(a - b) ** 2, 0, -2 * (a + b), 0, 1]
+
+
+# irreducible over Z but reducible mod every prime: no irreducibility witness exists
+BIQUADRATICS = [biquadratic(a, b) for a, b in [(2, 3), (2, 5), (3, 7), (-1, 2), (5, 13), (6, 10)]]
+
+
 def degree_pool():
     """Random monic polynomials, biquadratics, products of small irreducibles and squares."""
     rng = random.Random(2026)
     pool = [random_monic(rng, deg) for deg in range(1, 13) for _ in range(3)]
-    # x^4 - 2(a+b)x^2 + (a-b)^2, the minimal polynomial of sqrt(a) + sqrt(b)
-    for a, b in [(2, 3), (2, 5), (3, 7), (-1, 2), (5, 13), (6, 10)]:
-        pool.append([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
+    pool += BIQUADRATICS
     for _ in range(8):
         f = [1]
         for _ in range(rng.randrange(2, 4)):
@@ -452,6 +460,44 @@ def test_pool_reaches_every_case():
     assert any(referee_witness(f, 60) for f in DEGREE_POOL if degree(f) > 1 and discriminant(f))
 
 
+# -- the witness search's irreducibility test against the degree pattern -----
+
+WITNESS_PRIMES = primes_up_to(300)
+
+
+@pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
+def test_gf_irreducible_matches_degree_pattern(index):
+    f = DEGREE_POOL[index]
+    disc = discriminant(f)
+    for p in WITNESS_PRIMES:
+        if disc % p:
+            assert _gf_irreducible(zm_reduce(f, p), p) == (_gf_degrees(f, p) == (degree(f),)), (f, p)
+
+
+def test_gf_irreducible_edge_degrees():
+    for p in (2, 3, 5, 7):
+        assert _gf_irreducible([1, 1], p)
+        # x^p - x - 1 (Artin-Schreier) is irreducible of degree p mod p, so all p // 2 steps run
+        artin_schreier = zm_reduce([-1, -1] + [0] * (p - 2) + [1], p)
+        assert _gf_irreducible(artin_schreier, p)
+        assert _gf_degrees(artin_schreier, p) == (p,)
+        # times x + 1 it is reducible, which the first step already finds
+        assert not _gf_irreducible(zm_mul(artin_schreier, [1, 1], p), p)
+
+
+@pytest.mark.parametrize("f", BIQUADRATICS)
+def test_biquadratic_has_no_witness(f):
+    assert irreducibility_witness(f, 300) == referee_witness(f, 300) is None
+
+
+def test_irreducibility_witness_rejects_non_monic_and_constant():
+    # 2x^2 + x + 3 drops to the irreducible x + 1 mod 2, so only a monic f keeps the proof
+    with pytest.raises(ValueError, match="monic"):
+        irreducibility_witness([3, 1, 2], 100, disc=-23)
+    with pytest.raises(ValueError, match="positive degree"):
+        irreducibility_witness([1], 100)
+
+
 # -- root density against a brute-force root search -------------------------
 
 
@@ -460,7 +506,7 @@ def density_pool():
     rng = random.Random(1000)
     pool = [random_monic(rng, deg) for deg in range(1, 9)]
     pool += [mul(random_monic(rng, 2), random_monic(rng, 3)) for _ in range(2)]
-    pool += [[(a - b) ** 2, 0, -2 * (a + b), 0, 1] for a, b in [(2, 3), (-1, 5)]]
+    pool += [biquadratic(2, 3), biquadratic(-1, 5)]
     g = random_monic(rng, 2)
     pool += [mul(mul(g, g), [-3, 1]), [0, 1]]
     return [normalize(f) for f in pool]

@@ -9,7 +9,6 @@ codes: 0 analysis completed (whatever the verdict), 1 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -17,6 +16,7 @@ import sys
 from decimal import MAX_EMAX, Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 from . import dold, recurrence
 from .factorint import root_density
@@ -31,8 +31,7 @@ class InputError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed OEIS-style b-file: (index, value) entries, each value an exact integral Decimal."""
 
     entries: tuple[tuple[int, Decimal], ...]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
@@ -46,8 +45,7 @@ class DoldViolation(NamedTuple):
     deficiency: int
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     """Most specific case-table row applicable to a recurrence."""
 
     row_id: str
@@ -55,8 +53,7 @@ class ClassificationRow:
     details: dict
 
 
-@dataclass(frozen=True)
-class FailReport:
+class FailReport(NamedTuple):
     verdict: str  # "almost-dold" | "not-almost-dold"
     horizon: int
     empirical_lower: int
@@ -101,11 +98,7 @@ def mobius_sums(terms: list[Decimal]) -> list[Decimal]:
 
 
 class DoldScan(NamedTuple):
-    """Dold and sign results of one pass over S_1..S_horizon.
-
-    A NamedTuple, not a frozen dataclass: it is as immutable and about
-    ten times cheaper to create at import.
-    """
+    """Dold and sign results of one pass over S_1..S_horizon."""
 
     violations: tuple[DoldViolation, ...]
     sign_violations: tuple[int, ...]  # indices n with S_n < 0
@@ -182,6 +175,22 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     Only meaningful when the structure verdict is positive (the bounds are
     vacuous otherwise).  Absolute values are taken throughout since the
     recursion coefficients may be negative while fail is positive.
+
+    ``order-1-radical`` is the exact fail factor of an order-1 recurrence
+    U_n = u*r^(n-1): the product of the primes p dividing r but not u.
+    The Dold condition asks p^k | c*(U_{p^k s} - U_{p^(k-1) s}) for every
+    prime p, k >= 1 and p-coprime s; the conditions at p involve c only
+    through v_p(c), so fail is the product of the least exponents each
+    prime needs.  For each p:
+
+    - p does not divide r: the difference is
+      u*r^(p^(k-1) s - 1)*(r^(p^(k-1)(p-1) s) - 1), and p^k divides the
+      last factor by Euler's theorem, so p need not divide c.
+    - p divides r and u: v_p(U_n) >= n, so both terms have
+      v_p >= p^(k-1) >= k, and again p need not divide c.
+    - p divides r but not u: U_p - U_1 = u*(r^(p-1) - 1) = -u (mod p),
+      so p must divide c; and once it does, v_p(c*U_n) >= n, so the
+      previous case's argument holds for c*U.
     """
     if not verdict.almost:
         return []
@@ -191,6 +200,8 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     bounds: list[tuple[str, int]] = []
     if d == 1:
         bounds.append(("order-1", abs(r[0])))
+        u = analysis.spec.initial[0]
+        bounds.append(("order-1-radical", math.prod(p for p, _ in factorize(abs(r[0])) if u % p)))
     m = len(verdict.coefficients)
     irreducible = m == 1 and degree(list(verdict.coefficients[0][0])) == d
     if irreducible:
@@ -259,8 +270,7 @@ def fail_report(
 # -- power subsequences ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerBound:
+class PowerBound(NamedTuple):
     """Upper bound for the fail factor of the n**t-sampled subsequence."""
 
     bound: int

@@ -25,8 +25,8 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numth import UnsupportedSizeError, is_prime, primes_up_to
 from .polyring import (
@@ -65,8 +65,8 @@ MAX_PRIME_BOUND = 10**5
 _BATCH_PRIME_LIMIT = 4096
 _BATCH_COEFF_BITS = 64
 
-@dataclass(frozen=True)
-class Factorization:
+
+class Factorization(NamedTuple):
     """Monic irreducible factors with multiplicities; their product is the (monic) input."""
 
     factors: tuple[tuple[tuple[int, ...], int], ...]

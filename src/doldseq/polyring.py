@@ -10,8 +10,8 @@ any modulus m; a prime modulus is checked where it enters, at
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numth import is_prime
 
@@ -422,8 +422,7 @@ def zm_derivative(f: list[int], m: int) -> list[int]:
 # -- prime-field polynomials -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModPoly:
+class ModPoly(NamedTuple):
     """Dense polynomial over F_p; coefficients ascending, fully reduced.
 
     The library no longer uses it: mod-p factoring and Hensel lifting

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation, Rounded, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -74,8 +73,7 @@ class TermSizeExceeded(RuntimeError):
     """A requested term would exceed the per-term bit budget."""
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """Order-d recurrence U_n = sum r_i U_{n-i} with initial terms U_1..U_d."""
 
     coefficients: tuple[int, ...]
@@ -201,8 +199,7 @@ def trace_sequence(factor: IntPoly, max_bits: int = DEFAULT_MAX_BITS) -> Sequenc
     return sequence_view(spec, max_bits=max_bits)
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
     """Result of the trace-decomposition test.
 
     almost is True when the sequence equals sum l_i * V^(i) with V^(i)

@@ -196,6 +196,18 @@ def test_fail_report_bound_consistency(example_seq, order4_seq, lucas):
             assert report.exact == report.empirical_lower
 
 
+def test_order_1_radical_is_the_scan_lower_bound():
+    # U_n = u r^(n-1): at N = 200 the scan sees index p for every prime p | r (|r| <= 30)
+    grid = [v for v in range(-30, 31) if v]
+    for r in grid:
+        for u in grid:
+            analysis = analyze(make_recurrence([r], [u]))
+            bounds = dict(table_bounds(analysis, structure_test(analysis)))
+            radical = bounds["order-1-radical"]
+            assert radical == scan(sequence_view(analysis.spec).terms(200)).empirical_lower, (r, u)
+            assert bounds["order-1"] % radical == 0, (r, u)
+
+
 def test_power_fail_bound_examples(order4_variant, fibonacci):
     b = power_fail_bound(analyze(order4_variant), 4)
     assert b is not None

@@ -1,10 +1,13 @@
-"""Every name a doldseq module imports is used in that module.
+"""Every name a doldseq module imports is used in that module, and the CLI imports stay light.
 
-The package's ``__init__`` is exempt: it imports names to re-export them.
+The package's ``__init__`` is exempt from the first check: it imports
+names to re-export them.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,3 +54,14 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # each CLI call is a fresh process; dataclasses pulls in inspect, ast, dis and tokenize
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import doldseq.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

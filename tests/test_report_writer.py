@@ -1,6 +1,5 @@
 """The one-pass report writer against json.dumps of the two-pass encoding it replaced."""
 
-import dataclasses
 import json
 import random
 import sys
@@ -37,8 +36,6 @@ def reference(obj):
         return [reference(v) for v in obj]
     if isinstance(obj, Fraction):
         return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if dataclasses.is_dataclass(obj):
-        return {k: reference(v) for k, v in dataclasses.asdict(obj).items()}
     return obj
 
 

@@ -3,6 +3,8 @@
 The integer route is classical Zassenhaus on the squarefree part:
 factorization modulo a prime that keeps it squarefree, Hensel lifting past
 the Mignotte coefficient bound, then exhaustive subset recombination.
+When the discriminant is zero, the linear factors of the squarefree part
+are read off the integer roots first and only the rest is lifted.
 Everything is deterministic: the randomized equal-degree splitting is
 seeded from the input.
 
@@ -14,9 +16,11 @@ first factor.  The splitting-degree search in ``dold`` needs the factor
 degrees, which ``_gf_degrees`` reads off the squarefree and
 distinct-degree splits without equal-degree splitting, and
 ``root_density`` needs just whether f has a root mod p: one product of
-values of f for the small primes, gcd(f, x^p - x) for the others.  Each
-Frobenius power x^p mod (f, p) on these paths is one
-``polyring.zm_pow_mod`` call.
+values of f for the small primes, gcd(f, x^p - x) for the others.  On
+these paths x^p mod (f, p) is one packed power per prime, and each later
+x^(p^i) is one product with the Frobenius table of f, both from
+``polyring.zm_frobenius_powers``.  A gcd that is only tested for being 1
+is ``polyring.zm_coprime``, which makes nothing monic.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numth import UnsupportedSizeError, is_prime, primes_up_to
+from .numth import UnsupportedSizeError, divisors, is_prime, primes_up_to
 from .polyring import (
     IntPoly,
     add,
@@ -36,20 +40,22 @@ from .polyring import (
     derivative,
     discriminant,
     divmod_exact,
+    evaluate,
     is_monic,
     mul,
     normalize,
     squarefree_part,
     sub,
+    zm_coprime,
     zm_derivative,
     zm_divmod,
+    zm_frobenius_powers,
     zm_gcd,
     zm_monic,
     zm_mul,
     zm_mulmod,
     zm_pow_mod,
     zm_reduce,
-    zm_rem,
 )
 
 MAX_DEGREE = 12
@@ -119,17 +125,22 @@ def _gf_squarefree_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 
 def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
+    """Split squarefree monic f into products of irreducibles of equal degree.
+
+    Step i needs x^(p^i) modulo the current f.  The powers come from the
+    Frobenius table of the input f, so they are reduced modulo the input.
+    The current f divides the input, so each is also x^(p^i) modulo the
+    current f once the gcd reduces it there.
+    """
     out = []
-    h = x = [0, 1]
+    x = [0, 1]
+    powers = zm_frobenius_powers(f, p)
     i = 1
     while len(f) > 2 * i:
-        h = zm_pow_mod(h, p, f, p)
-        g = zm_gcd(f, sub(h, x), p)
+        g = zm_gcd(f, sub(next(powers), x), p)
         if len(g) > 1:
             out.append((g, i))
             f = zm_divmod(f, g, p)[0]
-            h = zm_rem(h, f, p)
         i += 1
     if len(f) > 1:
         out.append((f, len(f) - 1))
@@ -167,11 +178,13 @@ def _gf_irreducible(f: list[int], p: int) -> bool:
     So f is irreducible iff the gcd is 1 for every i <= d/2, and the first
     nontrivial gcd already proves it reducible.  Unlike ``_gf_degrees``
     this needs no squarefree split and no further distinct-degree step.
+    Each gcd is only tested for being 1 (``zm_coprime``), and the powers
+    come from ``zm_frobenius_powers``, so a search that stops at the first
+    step builds no table rows.
     """
-    h = x = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        h = zm_pow_mod(h, p, f, p)
-        if len(zm_gcd(f, sub(h, x), p)) > 1:
+    x = [0, 1]
+    for _, h in zip(range((len(f) - 1) // 2), zm_frobenius_powers(f, p)):
+        if not zm_coprime(f, sub(h, x), p):
             return False
     return True
 
@@ -265,7 +278,7 @@ def hensel_lift(f: IntPoly, factors_mod_p: list[list[int]], p: int, k: int) -> l
         raise ValueError("seed product does not match the polynomial mod p")
     for i in range(len(seeds)):
         for j in range(i + 1, len(seeds)):
-            if len(zm_gcd(seeds[i], seeds[j], p)) != 1:
+            if not zm_coprime(seeds[i], seeds[j], p):
                 raise ValueError("seed factors are not pairwise coprime mod p")
     if k < 1:
         raise ValueError("target exponent must be positive")
@@ -320,7 +333,7 @@ def _mignotte_bound(f: IntPoly) -> int:
 def _good_prime(f: IntPoly) -> int:
     fd = derivative(f)
     for p in primes_up_to(10_000):
-        if len(zm_gcd(f, fd, p)) == 1:
+        if zm_coprime(f, fd, p):
             return p
     raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
 
@@ -363,6 +376,22 @@ def _factor_squarefree_over_Z(f: IntPoly) -> list[IntPoly]:
     return result
 
 
+def _integer_roots(f: IntPoly) -> list[int]:
+    """The distinct integer roots of a monic integer f of positive degree.
+
+    Write f = x^k * g with g(0) = c != 0.  A root r != 0 of f is a root of
+    g, and c = g(0) - g(r) is a multiple of r, so r is a divisor of c or
+    its negative; 0 is a root iff k > 0.  Under ``factor_over_Z``'s
+    envelope |c| <= MAX_COEFF, so c is factored by trial division alone.
+    """
+    k = next(i for i, c in enumerate(f) if c)
+    g = f[k:]
+    roots = [0] if k else []
+    for d in divisors(abs(g[0])):
+        roots += [r for r in (d, -d) if not evaluate(g, r)]
+    return roots
+
+
 def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
@@ -382,8 +411,19 @@ def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     # a nonzero discriminant means f is already squarefree, so every multiplicity is 1
     if disc is None:
         disc = discriminant(f)
+    if disc:
+        irreducibles = _factor_squarefree_over_Z(f)
+    else:
+        # the linear factors come from the integer roots; only the rest is lifted
+        rest = squarefree_part(f)
+        irreducibles = []
+        for r in _integer_roots(f):
+            irreducibles.append([-r, 1])
+            rest = divmod_exact(rest, [-r, 1])[0]
+        if degree(rest) > 0:
+            irreducibles += _factor_squarefree_over_Z(rest)
     factors: list[tuple[tuple[int, ...], int]] = []
-    for irr in _factor_squarefree_over_Z(f if disc else squarefree_part(f)):
+    for irr in irreducibles:
         mult = 1
         if not disc:
             # irr divides f; each further exact division by it adds one to its multiplicity
@@ -434,7 +474,7 @@ def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = Non
 def _has_root_mod_p(f: list[int], p: int) -> bool:
     # f has a root in F_p iff gcd(f, x^p - x) is nontrivial
     x = [0, 1]
-    return len(zm_gcd(f, sub(zm_pow_mod(x, p, f, p), x), p)) > 1
+    return not zm_coprime(f, sub(zm_pow_mod(x, p, f, p), x), p)
 
 
 def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:

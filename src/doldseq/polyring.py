@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .numth import is_prime
 
@@ -314,10 +314,59 @@ def _pack(coeffs: list[int], width: int) -> int:
     return x
 
 
+def _unpack(acc: int, width: int, d: int, m: int) -> list[int]:
+    # slots 0 .. d-1 of acc, reduced mod m and trimmed
+    mask = (1 << width) - 1
+    return _trim([(acc >> (width * i) & mask) % m for i in range(d)])
+
+
+def _packed_pow_mod(f: list[int], e: int, h: list[int], m: int) -> tuple[int, int, Callable[[int], int]]:
+    # f**e mod h packed, with slots in [0, 2m); its slot width; the packed reduction mod h
+    d = len(h) - 1
+    if e == 0:
+        f = [1]
+    # an f shorter than h is its own remainder; zm_rem also rejects h = []
+    base = zm_rem(f, h, m) if len(f) > d else [c % m for c in f]
+    lead_inv = pow(h[-1], -1, m)
+    neg = [-c * lead_inv % m for c in h[:-1]]  # -(h_0 .. h_(d-1)) of the monic h
+    # g = 1/rev(h) mod x**(d-1): g_0 = 1, g_n = sum of -h_(d-i) * g_(n-i) over 1 <= i <= n
+    g = [1] if d > 1 else []
+    for n in range(1, d - 1):
+        g.append(sum(map(operator.mul, neg[d - n :], g)) % m)
+
+    V = (4 * (d + 1) * m * m).bit_length()
+    W = 2 * V
+    mu = (1 << V) // m
+    low_slots = (1 << (W * d)) - 1
+    # V one-bits at the bottom of each slot that a product can fill
+    q_bits = ((1 << V) - 1) * (((1 << (W * 2 * d)) - 1) // ((1 << W) - 1))
+    ginv = _pack(g[::-1], W) << W
+    neg_low = _pack(neg, W)
+    high, q_shift = W * d, W * max(d - 1, 0)
+
+    def fold(t: int) -> int:
+        # three Barrett steps: on T, on the quotient Q, on the remainder
+        t -= ((t * mu >> V) & q_bits) * m
+        q = (t >> high) * ginv >> q_shift
+        q -= ((q * mu >> V) & q_bits) * m
+        r = (t + q * neg_low) & low_slots
+        return r - ((r * mu >> V) & q_bits) * m
+
+    packed = acc = _pack(base, W)
+    for bit in bin(e)[3:]:
+        acc = fold(acc * acc)
+        if bit == "1":
+            acc = fold(acc * packed)
+    return acc, W, fold
+
+
 def zm_pow_mod(f: list[int], e: int, h: list[int], m: int) -> list[int]:
     """f**e mod h over Z/m, squaring left to right on packed integers.
 
     f**0 is 1 reduced mod h, so it is [] when h is a unit constant.
+    ``zm_frobenius_powers`` takes x**p from the same code and keeps its
+    packed reduction for the later Frobenius powers, so a Frobenius
+    search pays for this set-up once per prime.
 
     Packing (Kronecker substitution).  Let d = deg h.  A polynomial
     a_0 + ... + a_(d-1) x**(d-1) is the int sum of a_i * 2**(W*i): slot
@@ -360,43 +409,42 @@ def zm_pow_mod(f: list[int], e: int, h: list[int], m: int) -> list[int]:
     before its Barrett step, so the last step returns the power to
     [0, 2m).
     """
-    d = len(h) - 1
-    if e == 0:
-        f = [1]
-    # an f shorter than h is its own remainder; zm_rem also rejects h = []
-    base = zm_rem(f, h, m) if len(f) > d else [c % m for c in f]
-    lead_inv = pow(h[-1], -1, m)
-    neg = [-c * lead_inv % m for c in h[:-1]]  # -(h_0 .. h_(d-1)) of the monic h
-    # g = 1/rev(h) mod x**(d-1): g_0 = 1, g_n = sum of -h_(d-i) * g_(n-i) over 1 <= i <= n
-    g = [1] if d > 1 else []
-    for n in range(1, d - 1):
-        g.append(sum(map(operator.mul, neg[d - n :], g)) % m)
+    acc, width, _ = _packed_pow_mod(f, e, h, m)
+    return _unpack(acc, width, len(h) - 1, m)
 
-    V = (4 * (d + 1) * m * m).bit_length()
-    W = 2 * V
-    mu = (1 << V) // m
-    low_slots = (1 << (W * d)) - 1
-    # V one-bits at the bottom of each slot that a product can fill
-    q_bits = ((1 << V) - 1) * (((1 << (W * 2 * d)) - 1) // ((1 << W) - 1))
-    ginv = _pack(g[::-1], W) << W
-    neg_low = _pack(neg, W)
-    high, q_shift = W * d, W * max(d - 1, 0)
 
-    def fold(t: int) -> int:
-        # three Barrett steps: on T, on the quotient Q, on the remainder
-        t -= ((t * mu >> V) & q_bits) * m
-        q = (t >> high) * ginv >> q_shift
-        q -= ((q * mu >> V) & q_bits) * m
-        r = (t + q * neg_low) & low_slots
-        return r - ((r * mu >> V) & q_bits) * m
+def zm_frobenius_powers(f: list[int], p: int) -> Iterator[list[int]]:
+    """x^(p^i) mod f over F_p for i = 1, 2, ..., for p prime and f trimmed with a unit leading coefficient.
 
-    packed = acc = _pack(base, W)
-    for bit in bin(e)[3:]:
-        acc = fold(acc * acc)
-        if bit == "1":
-            acc = fold(acc * packed)
-    mask = (1 << W) - 1
-    return _trim([(acc >> (W * i) & mask) % m for i in range(d)])
+    Nothing is computed before the first power is asked for.  x^p is one
+    ``zm_pow_mod`` power, whose packed set-up is kept.  The second power
+    first builds the Frobenius table of f, the rows Q_j = x^(jp) mod f
+    for j < deg f: Q_0 = 1, Q_1 = x^p and Q_j = Q_(j-1) * Q_1 mod f, one
+    packed multiply and reduction each.  Every later power is then
+    h^p = sum_j h_j * Q_j for the previous power h, one dot product of
+    packed ints: with the h_j in [0, p) and row slots in [0, 2p), a slot
+    of the sum is below 2 deg(f) p^2 < 2**W, so no slot carries into the
+    next.
+
+    Proof that h^p = sum_j h_j * Q_j mod f.  Over F_p, (a + b)^p =
+    a^p + b^p: every middle binomial coefficient C(p, i), 0 < i < p, is
+    divisible by p.  And c^p = c for c in F_p (Fermat).  So h |-> h^p is
+    F_p-linear, and (sum_j h_j x^j)^p = sum_j h_j^p x^(jp) =
+    sum_j h_j x^(jp), which is sum_j h_j Q_j modulo f.  A congruence mod
+    f holds mod every divisor g of f, so these powers reduced mod g are
+    x^(p^i) mod g: the table of f stays valid while a factorization
+    splits pieces off f.
+    """
+    x1, width, fold = _packed_pow_mod([0, 1], p, f, p)
+    d = len(f) - 1
+    h = _unpack(x1, width, d, p)
+    yield h
+    rows = [1, x1][:d]
+    while len(rows) < d:
+        rows.append(fold(rows[-1] * x1))
+    while True:
+        h = _unpack(sum(map(operator.mul, h, rows)), width, d, p)
+        yield h
 
 
 def zm_monic(f: list[int], m: int) -> list[int]:
@@ -413,6 +461,21 @@ def zm_gcd(f: list[int], g: list[int], m: int) -> list[int]:
     while b:
         a, b = b, zm_rem(a, b, m)
     return zm_monic(a, m)
+
+
+def zm_coprime(f: list[int], g: list[int], m: int) -> bool:
+    """Whether gcd(f, g) over Z/m is 1, for m prime; the same as ``len(zm_gcd(f, g, m)) == 1``.
+
+    Euclid runs only until the remainder is a constant and nothing is
+    made monic: a nonzero constant remainder is a unit, so the gcd is 1;
+    a zero remainder leaves the gcd equal to the last divisor up to a
+    unit, which is 1 only when that divisor is a constant.
+    """
+    a, b = zm_reduce(f, m), zm_reduce(g, m)
+    while len(b) > 1:
+        # a is a fresh list each round, so _divide may overwrite it
+        a, b = b, _divide(a, b, m, None)
+    return len(b) == 1 or len(a) == 1
 
 
 def zm_derivative(f: list[int], m: int) -> list[int]:

@@ -134,6 +134,24 @@ GOLDEN_CASES = [
         "algebra/witness_biquadratic",
         ["witness", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--prime-bound", "300"],
     ),
+    (
+        "algebra/classify_biquadratic",
+        ["classify", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--prime-bound", "300"],
+    ),
+    (
+        "algebra/classify_product_degree8",
+        [
+            "classify",
+            "--coeffs=-2,11,23,92,57,-12,-60,-36",
+            "--initial=-1,-4,1,7,8,-9,-1,1",
+            "--prime-bound",
+            "300",
+        ],
+    ),
+    (
+        "algebra/witness_generic_degree8",
+        ["witness", "--coeffs=0,4,-2,-5,7,-9,-4,-2", "--initial=-7,-9,-8,2,-6,-8,-8,9", "--prime-bound", "300"],
+    ),
     ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
     ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
     ("fail/repeated_root_refuted", ["fail", "--coeffs", "4,-5,2", "--initial", "1,2,9", "--horizon", "30"]),

@@ -1,5 +1,7 @@
 """Integer and mod-p polynomial factorization: examples, oracles, invariants."""
 
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,9 +13,11 @@ from doldseq.factorint import (
     _BATCH_COEFF_BITS,
     _BATCH_PRIME_LIMIT,
     MAX_COEFF,
+    Factorization,
     _gf_degrees,
     _gf_irreducible,
     _has_root_mod_p,
+    _integer_roots,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
@@ -232,6 +236,36 @@ def test_factor_over_Z_repeated_factors_match_kronecker():
         rest = [rng.randrange(-6, 7) for _ in range(rng.randrange(0, 5 - 2 * (len(g) - 1)))] + [1]
         f = mul(mul(g, g), rest)
         assert factorization_multiset(factor_over_Z(f)) == kronecker_factor(f)
+
+
+# factor_over_Z of the 295 monic quartics with coefficients in [-6, 6] and zero
+# discriminant, as given when the whole squarefree part was Hensel lifted
+ZERO_DISCRIMINANT_QUARTICS_SHA256 = "6b9baafeac124531bca51c45158b7d4a75388dcd48bbe852debaa6f952538f07"
+
+
+def test_zero_discriminant_quartics_factor_as_before():
+    quartics = [list(c) + [1] for c in itertools.product(range(-6, 7), repeat=4)]
+    pool = [f for f in quartics if discriminant(f) == 0]
+    assert len(pool) == 295
+    result = [factor_over_Z(f).factors for f in pool]
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == ZERO_DISCRIMINANT_QUARTICS_SHA256
+    for f, fz in zip(pool, result):
+        assert factorization_multiset(Factorization(fz)) == kronecker_factor(f), f
+
+
+def test_zero_discriminant_linear_factors_and_lifted_rest():
+    assert _integer_roots([0, 0, -4, 0, 1]) == [0, 2, -2]
+    assert _integer_roots([1, 0, 1]) == []
+    # (x + 2)^2 (x^2 + 1)(x^2 + 3): the degree-4 rest has no root and is split by lifting
+    f = mul(mul([2, 1], [2, 1]), mul([1, 0, 1], [3, 0, 1]))
+    assert factor_over_Z(f).factors == (((2, 1), 2), ((1, 0, 1), 1), ((3, 0, 1), 1))
+    # x (x - 1)^2 (x^4 - 10x^2 + 1): the rest is irreducible over Z, though reducible mod every prime
+    f = mul(mul([0, 1], mul([-1, 1], [-1, 1])), [1, 0, -10, 0, 1])
+    assert factor_over_Z(f).factors == (((-1, 1), 2), ((0, 1), 1), ((1, 0, -10, 0, 1), 1))
+    # f(0) = 10^6, at the coefficient envelope: 49 divisors to try, with either sign
+    f = mul(mul([-1000, 1], [-1000, 1]), [1, 1])
+    assert max(map(abs, f)) == MAX_COEFF
+    assert factor_over_Z(f).factors == (((-1000, 1), 2), ((1, 1), 1))
 
 
 def test_factor_over_Z_envelope():

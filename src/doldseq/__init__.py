@@ -24,7 +24,7 @@ from .factorint import (
     root_density,
 )
 from .numth import legendre, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import discriminant, power_sums, resultant, squarefree_part
+from .polyring import discriminant, power_sums, squarefree_part
 from .recurrence import (
     Analysis,
     RecurrenceSpec,

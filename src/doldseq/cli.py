@@ -267,7 +267,7 @@ def _fail_doc(report: dold.FailReport) -> dict:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part.strip()) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",")]  # int() strips spaces and refuses an empty field
     except ValueError:
         raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
 

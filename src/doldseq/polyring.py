@@ -144,24 +144,7 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     return q
 
 
-# -- resultants and discriminants -------------------------------------------
-
-
-def sylvester_matrix(f: IntPoly, g: IntPoly) -> list[list[int]]:
-    """Sylvester matrix of (f, g): deg g rows of f's coefficients then deg f rows of g's."""
-    f = normalize(f)
-    g = normalize(g)
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    fd = list(reversed(f))
-    gd = list(reversed(g))
-    for i in range(n):
-        rows.append([0] * i + fd + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gd + [0] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return rows
+# -- determinants and discriminants -----------------------------------------
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -189,38 +172,29 @@ def bareiss_det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """res(f, g) = lc(g)^deg f * product of f over the roots of g.
-
-    Computed as a fraction-free Sylvester determinant.  With this
-    orientation res(x - a, x - b) = b - a.
-    """
-    f = normalize(f)
-    g = normalize(g)
-    if not f or not g:
-        raise ValueError("resultant of a zero polynomial")
-    if degree(f) == 0:
-        return f[0] ** degree(g)
-    if degree(g) == 0:
-        return g[0] ** degree(f)
-    return bareiss_det(sylvester_matrix(g, f))
-
-
 def discriminant(f: IntPoly) -> int:
-    """Discriminant of monic f: prod (a_i - a_j)^2 over root pairs.
+    """Discriminant of monic f: prod (a_i - a_j)^2 over root pairs i < j.
 
-    Returns 1 for degrees 0 and 1 by convention.
+    Returns 1 for degrees 0 and 1 by convention.  For degree d >= 2 it is
+    the determinant of the d x d Hankel matrix H[i][j] = s_(i+j) of the
+    root power sums, s_0 = d (the trace form of Q[x]/(f); Cohen, A Course
+    in Computational Algebraic Number Theory, ch. 4).  Proof: let V be
+    the Vandermonde matrix V[i][j] = a_j^i of the roots a_0..a_(d-1).
+    Then (V V^T)[i][j] = sum_k a_k^i a_k^j = s_(i+j), so H = V V^T and
+    det H = det(V)^2 = prod_(i<j) (a_i - a_j)^2, with no sign factor.
+    The s_k are integers by Newton's identities (power_sums), and
+    bareiss_det is exact, swapping rows where a pivot is zero.
     """
     f = normalize(f)
     if not f:
         raise ValueError("zero polynomial has no discriminant")
     if not is_monic(f):
         raise ValueError("discriminant requires a monic polynomial")
-    d = degree(f)
+    d = len(f) - 1
     if d <= 1:
         return 1
-    res = resultant(f, derivative(f))
-    return (-1) ** (d * (d - 1) // 2) * res
+    s = [d, *power_sums(f, 2 * d - 2)]
+    return bareiss_det([s[i : i + d] for i in range(d)])
 
 
 # -- power sums --------------------------------------------------------------

@@ -25,9 +25,9 @@ from doldseq.recurrence import (
     trace_sequence,
 )
 from test_factorint import factorization_multiset, kronecker_factor
-from test_polyring import leibniz_det
+from test_polyring import leibniz_det, sylvester_matrix
 
-from doldseq.polyring import derivative, sylvester_matrix
+from doldseq.polyring import derivative
 
 
 @contextlib.contextmanager

@@ -129,6 +129,8 @@ GOLDEN_CASES = [
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
+    # (x^4 - 10x^2 + 1)^2: a zero discriminant, so ramification is read from the squarefree part
+    ("algebra/density_biquadratic_squared", ["density", "--poly=1,0,-20,0,102,0,-20,0,1"]),
     ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
     (
         "algebra/witness_biquadratic",
@@ -189,6 +191,10 @@ def test_golden_key_facts(run_cli):
     assert doc["structure"]["coefficients"][0]["value"] == {"numerator": "1", "denominator": "2"}
     doc = json.loads(run_cli(cases["fail/repeated_root_refuted"])[1])
     assert doc["structure"] == {"almost": False, "refutation_index": "3"}
+    # a polynomial and its square have the same roots, hence the same density
+    squared = json.loads(run_cli(cases["algebra/density_biquadratic_squared"])[1])["density"]
+    assert squared == json.loads(run_cli(cases["algebra/density_biquadratic"])[1])["density"]
+    assert squared == {"numerator": "18", "denominator": "83"}
 
 
 # -- exit-code contract ------------------------------------------------------
@@ -210,6 +216,32 @@ def test_exit_code_one_on_input_error(run_cli):
     assert code == 1
     code, _ = run_cli(["fail", "--coeffs", "1,0", "--initial", "1,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--coeffs", "1,,1", "--initial", "1,1"],
+        ["check", "--coeffs", "1,1", "--initial", "1,1,"],
+        ["fail", "--coeffs", ",1", "--initial", "1"],
+        ["density", "--poly=1,,0,1"],
+    ],
+    ids=["check-coeffs", "check-initial-trailing", "fail-leading", "density"],
+)
+def test_empty_list_field_is_input_error(run_cli, argv):
+    # an empty field is not dropped: "1,,1" is not the list 1,1
+    code, out = run_cli(argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert "comma-separated integer list" in doc["error"]
+    validate(out)
+
+
+def test_list_fields_may_carry_spaces(run_cli):
+    assert run_cli(["check", "--coeffs", " 1, 1", "--initial", "1 ,1 ", "--horizon", "50"]) == run_cli(
+        GOLDEN_CASES[1][1]
+    )
 
 
 def test_exit_code_one_on_unknown_flag(run_cli, capsys):

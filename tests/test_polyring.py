@@ -22,10 +22,8 @@ from doldseq.polyring import (
     mul,
     normalize,
     power_sums,
-    resultant,
     squarefree_part,
     sub,
-    sylvester_matrix,
 )
 
 
@@ -61,34 +59,44 @@ def random_poly(rng, deg, lo=-9, hi=9, monic=False):
     return normalize(coeffs)
 
 
-# -- resultants and discriminants --------------------------------------------
+# -- discriminants -----------------------------------------------------------
+#
+# The Sylvester route is the referee: it forms neither the power sums nor
+# the Hankel matrix that discriminant() takes the determinant of.
 
 
-def test_resultant_linear_orientation():
-    # res(x - 1, x - 2) = 2 - 1 = 1
-    assert resultant([-1, 1], [-2, 1]) == 1
+def sylvester_matrix(f, g):
+    """Sylvester matrix of (f, g): deg g rows of f's coefficients, then deg f rows of g's."""
+    f, g = normalize(f), normalize(g)
+    m, n = len(f) - 1, len(g) - 1
+    fd, gd = f[::-1], g[::-1]
+    rows = [[0] * i + fd + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gd + [0] * (m - 1 - i) for i in range(m)]
+    assert all(len(row) == m + n for row in rows)
+    return rows
+
+
+def sylvester_discriminant(f):
+    """(-1)^(d(d-1)/2) res(f, f') for monic f of degree d, with res(f, f') = det Sylvester(f', f)."""
+    d = degree(f)
+    if d <= 1:
+        return 1
+    return (-1) ** (d * (d - 1) // 2) * bareiss_det(sylvester_matrix(derivative(f), f))
 
 
 def test_resultant_fibonacci_discriminant_ingredient():
     f = [-1, -1, 1]  # x^2 - x - 1
-    assert resultant(f, derivative(f)) == -5
+    assert bareiss_det(sylvester_matrix(derivative(f), f)) == -5  # res(f, f')
+    assert sylvester_discriminant(f) == 5
     assert discriminant(f) == 5
-
-
-def test_resultant_of_self_is_zero():
-    for f in ([-1, -1, 1], [1, 0, -10, 0, 1], [2, 3, 1]):
-        assert resultant(f, f) == 0
-
-
-def test_resultant_constant_cases():
-    assert resultant([5], [-1, 2, 1]) == 25
-    assert resultant([-1, 2, 1], [5]) == 25
 
 
 def test_discriminant_examples():
     assert discriminant([-3, -12, 1]) == 156
     assert discriminant([1, 0, -10, 0, 1]) == 147456
     assert discriminant([2, -3, 1]) == 1  # (x-1)(x-2)
+    assert discriminant([-2, 0, 0, 1]) == -108  # x^3 - 2: -27 * 2^2
+    assert discriminant([0, 0, 0, 1]) == 0  # x^3: every Hankel entry but s_0 is 0
     assert discriminant([7, 1]) == 1  # linear convention
     assert discriminant([1]) == 1
 
@@ -96,6 +104,8 @@ def test_discriminant_examples():
 def test_discriminant_requires_monic():
     with pytest.raises(ValueError):
         discriminant([1, 2])
+    with pytest.raises(ValueError):
+        discriminant([0, 0])
 
 
 def test_bareiss_against_leibniz():
@@ -106,21 +116,40 @@ def test_bareiss_against_leibniz():
             assert bareiss_det(m) == leibniz_det(m)
 
 
-def test_sylvester_determinant_matches_resultant():
-    rng = random.Random(17)
+def discriminant_pool():
+    """Monic polynomials of degree 0-12: random ones, short and 10^6 coefficients,
+    repeated factors (zero discriminants), biquadratics, x^d - c and x^d."""
+    rng = random.Random(19)
+    pool = []
+    for d in range(13):
+        pool += [random_poly(rng, d, monic=True) for _ in range(6)]
+        pool += [random_poly(rng, d, -(10**6), 10**6, monic=True) for _ in range(2)]
     for _ in range(40):
-        f = random_poly(rng, rng.randrange(1, 4))
-        g = random_poly(rng, rng.randrange(1, 4))
-        assert resultant(f, g) == leibniz_det(sylvester_matrix(g, f))
+        g = random_poly(rng, rng.randrange(1, 4), -5, 5, monic=True)
+        h = random_poly(rng, rng.randrange(0, 5), -5, 5, monic=True)
+        pool.append(mul(mul(g, g), h))
+    pool += [[b, 0, a, 0, 1] for a in range(-12, 13, 3) for b in range(-4, 5)]
+    pool.append(mul([1, 0, -10, 0, 1], [1, 0, -10, 0, 1]))
+    for d in range(1, 13):
+        pool += [[-c] + [0] * (d - 1) + [1] for c in (0, 1, -1, 2, 3, -5, 10**6)]
+    return pool
+
+
+def test_discriminant_matches_sylvester_referee():
+    pool = discriminant_pool()
+    assert any(discriminant(f) == 0 for f in pool)
+    for f in pool:
+        assert discriminant(f) == sylvester_discriminant(f), f
 
 
 def test_discriminant_multiplicative():
-    # disc(f*g) = disc(f) * disc(g) * res(f, g)^2 for monic f, g
+    # disc(f*g) = disc(f) * disc(g) * res(f, g)^2 for monic f, g, with res the Leibniz determinant of Sylvester(g, f)
     rng = random.Random(23)
     for _ in range(100):
         f = random_poly(rng, rng.randrange(1, 5), monic=True)
         g = random_poly(rng, rng.randrange(1, 5), monic=True)
-        assert discriminant(mul(f, g)) == discriminant(f) * discriminant(g) * resultant(f, g) ** 2
+        res = leibniz_det(sylvester_matrix(g, f))
+        assert discriminant(mul(f, g)) == discriminant(f) * discriminant(g) * res**2
 
 
 def test_vandermonde_float_oracle():

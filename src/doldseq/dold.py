@@ -12,7 +12,6 @@ of fail come from the structure of the characteristic polynomial.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from decimal import Decimal, localcontext
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 from .factorint import _gf_degrees
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import IntPoly, degree, discriminant, mul
+from .polyring import IntPoly, degree, discriminant, squarefree_part
 from .recurrence import (
     DEFAULT_MAX_BITS,
     EXACT,
@@ -216,7 +215,7 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     if disc != 0:
         bounds.append(("discriminant", abs(r[d - 1] * disc)))
     # with a nonzero discriminant the polynomial is its own squarefree part
-    sf_disc = disc or discriminant(functools.reduce(mul, (list(f) for f, _ in analysis.factorization.factors)))
+    sf_disc = disc or discriminant(squarefree_part(analysis.cpoly))
     bounds.append(("squarefree-discriminant", abs(r[d - 1] * sf_disc)))
     bounds.append(("denominator", lcm_list([l.denominator for _, l in verdict.coefficients])))
     return bounds
@@ -241,8 +240,11 @@ def fail_report(
 
     Runs the structure test, classification (searching witness primes up
     to prime_bound), theoretical bounds and the empirical scan; declares
-    the fail factor exact only when the empirical lower bound meets a
-    proof-backed upper bound.
+    the fail factor exact only when the empirical lower bound equals the
+    gcd of the proof-backed upper bounds.  The factors c that repair A
+    are closed under gcd (n | c*S_n and n | c'*S_n give n | gcd(c, c')*S_n),
+    so fail divides every proven bound and hence their gcd; the lower
+    bound divides fail, so when it equals that gcd it is fail.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -257,7 +259,7 @@ def fail_report(
         horizon=horizon,
         empirical_lower=lower,
         upper_bounds=tuple(bounds),
-        exact=lower if bounds and lower == min(b for _, b in bounds) else None,
+        exact=lower if bounds and lower == gcd_list([b for _, b in bounds]) else None,
         infinite=not verdict.almost,
         structure=verdict,
         classification=classification,

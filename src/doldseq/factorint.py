@@ -363,10 +363,10 @@ def _factor_squarefree_over_Z(f: IntPoly) -> list[IntPoly]:
             for idx in subset:
                 cand = zm_mul(cand, lifted[idx], m)
             cand_z = normalize([_symmetric(c, m) for c in cand])
-            dm = divmod_exact(rest, cand_z)
-            if dm is not None and not dm[1]:
+            quotient, remainder = divmod_exact(rest, cand_z)
+            if not remainder:
                 result.append(cand_z)
-                rest = dm[0]
+                rest = quotient
                 remaining = [i for i in remaining if i not in subset]
                 break
         else:

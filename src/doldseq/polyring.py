@@ -1,4 +1,4 @@
-"""Exact univariate polynomial arithmetic over Z, Q and prime fields.
+"""Exact univariate polynomial arithmetic over Z and Z/m.
 
 Integer polynomials are plain lists of ints in ascending degree order
 (``[c0, c1, ..., cd]`` with ``cd != 0`` unless the polynomial is zero).
@@ -10,7 +10,6 @@ any modulus m; a prime modulus is checked where it enters, at
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .numth import is_prime
@@ -80,14 +79,11 @@ def derivative(f: IntPoly) -> IntPoly:
     return normalize([i * c for i, c in enumerate(f)][1:])
 
 
-def divmod_exact(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly] | None:
-    """Quotient and remainder of f by monic g over Z.
-
-    Returns None if g is not monic. Remainder has degree < deg g.
-    """
+def divmod_exact(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Quotient and remainder of f by monic g over Z; the remainder has degree < deg g."""
     g = normalize(g)
     if not is_monic(g):
-        return None
+        raise ValueError("divmod_exact requires a monic divisor")
     r = list(f)
     q = [0] * max(len(f) - len(g) + 1, 1)
     while len(normalize(r)) >= len(g):
@@ -100,51 +96,7 @@ def divmod_exact(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly] | None:
     return normalize(q), normalize(r)
 
 
-def gcd_monic(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic gcd over Q of a monic integer f and an integer g.
-
-    The gcd divides f, so it is a monic factor of a monic integer
-    polynomial, and Gauss's lemma makes its coefficients integers.
-    """
-    if not is_monic(f):
-        raise ValueError("gcd_monic requires a monic f")
-    a = [Fraction(c) for c in normalize(f)]
-    b = [Fraction(c) for c in normalize(g)]
-    while b:
-        # remainder of a by b over Q
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            c = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[shift + i] -= c * bc
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    lead = a[-1]
-    return [int(c / lead) for c in a]
-
-
-def squarefree_part(f: IntPoly) -> IntPoly:
-    """Monic product of the distinct irreducible factors of monic f."""
-    f = normalize(f)
-    if not f:
-        raise ValueError("zero polynomial has no squarefree part")
-    if not is_monic(f):
-        raise ValueError("squarefree_part requires a monic polynomial")
-    if degree(f) == 0:
-        return [1]
-    g = gcd_monic(f, derivative(f))
-    q, r = divmod_exact(f, g)
-    assert not r
-    return q
-
-
-# -- determinants and discriminants -----------------------------------------
+# -- determinants, discriminants and squarefree parts -----------------------
 
 
 def bareiss_det(matrix: list[list[int]]) -> int:
@@ -195,6 +147,50 @@ def discriminant(f: IntPoly) -> int:
         return 1
     s = [d, *power_sums(f, 2 * d - 2)]
     return bareiss_det([s[i : i + d] for i in range(d)])
+
+
+def squarefree_part(f: IntPoly) -> IntPoly:
+    """Monic product of the distinct irreducible factors of monic f.
+
+    Degrees 0 and 1 return f.  For degree d >= 2 it is the minimal
+    polynomial g of the root power sums s_0 = d, s_1, ..., s_(2d-1),
+    read off their Hankel matrices H_k[i][j] = s_(i+j), 0 <= i, j < k.
+    Proof: let a_0..a_(r-1) be the distinct roots of f, m_l their
+    multiplicities and V the k x r matrix V[i][l] = a_l^i (0^0 = 1, so a
+    zero root counts in s_0 = d).  Then s_n = sum_l m_l a_l^n and
+    H_k = V diag(m) V^T, so:
+
+    - every H_k with k > r has rank <= r and determinant 0;
+    - det H_r = prod m_l * det(V)^2 = prod m_l * disc(g) != 0, the roots
+      of g = prod (x - a_l) being distinct;
+    - sum_j g_j s_(n+j) = sum_l m_l a_l^n g(a_l) = 0 for every n >= 0.
+
+    So r is the largest k with det H_k != 0, found by scanning k down
+    from d: a smaller leading minor can vanish (for (x^3 - 1)^2,
+    H_2 = [[6, 0], [0, 0]] while r = 3).  The third line for n < r says
+    that the low coefficients c of g solve H_r c = -(s_r, ..., s_(2r-1)),
+    and H_r is invertible, so Cramer's rule gives them.  g is a monic
+    factor of the monic integer f, so by Gauss's lemma c is integral and
+    every division below is exact.  The s_n are integers by Newton's
+    identities (power_sums) and bareiss_det is exact.
+    """
+    f = normalize(f)
+    if not f:
+        raise ValueError("zero polynomial has no squarefree part")
+    if not is_monic(f):
+        raise ValueError("squarefree_part requires a monic polynomial")
+    d = len(f) - 1
+    if d <= 1:
+        return f
+    s = [d, *power_sums(f, 2 * d - 1)]
+    for r in range(d, 0, -1):
+        h = [s[i : i + r] for i in range(r)]
+        det = bareiss_det(h)
+        if det:
+            break
+    rhs = [-s[i + r] for i in range(r)]
+    low = [bareiss_det([row[:j] + [b] + row[j + 1 :] for row, b in zip(h, rhs)]) // det for j in range(r)]
+    return [*low, 1]
 
 
 # -- power sums --------------------------------------------------------------

@@ -118,7 +118,9 @@ def test_report_round_trip():
 # in golden/fail/.  That b-file has offset 0, a negative term and an index
 # gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
 # is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
-# (x - 1)^2 (x - 2) and the structure test refutes at n = 3.  The primes of
+# (x - 1)^2 (x - 2) and the structure test refutes at n = 3; the same
+# polynomial, whose factorization goes through the squarefree part, is the
+# `any` row of algebra/classify_repeated_root.  The primes of
 # algebra/density_quadratic_10000 lie on both sides of root_density's batch limit.
 # The characteristic polynomial of algebra/witness_biquadratic, x^4 - 10x^2 + 1,
 # is reducible mod every prime, so its witness search scans every prime <= 300.
@@ -157,6 +159,7 @@ GOLDEN_CASES = [
     ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
     ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
     ("fail/repeated_root_refuted", ["fail", "--coeffs", "4,-5,2", "--initial", "1,2,9", "--horizon", "30"]),
+    ("algebra/classify_repeated_root", ["classify", "--coeffs", "4,-5,2", "--initial", "1,2,9"]),
 ]
 
 
@@ -195,6 +198,16 @@ def test_golden_key_facts(run_cli):
     squared = json.loads(run_cli(cases["algebra/density_biquadratic_squared"])[1])["density"]
     assert squared == json.loads(run_cli(cases["algebra/density_biquadratic"])[1])["density"]
     assert squared == {"numerator": "18", "denominator": "83"}
+    doc = json.loads(run_cli(cases["algebra/classify_repeated_root"])[1])
+    assert doc["row"] == "any" and doc["details"]["discriminant"] == "0"
+
+
+def test_fail_is_exact_when_the_lower_bound_meets_the_gcd_of_the_bounds(run_cli):
+    # no single bound is 2, but fail divides every bound, hence their gcd 2
+    doc = json.loads(run_cli(["fail", "--coeffs=-2,3", "--initial=-1,-4"])[1])
+    assert [b["value"] for b in doc["upper_bounds"]] == ["6", "48", "48", "4"]
+    assert doc["empirical_lower"] == "2"
+    assert doc["exact"] == "2" and doc["fail"] == "2"
 
 
 # -- exit-code contract ------------------------------------------------------

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from doldseq.polyring import (
     discriminant,
     divmod_exact,
     evaluate,
-    gcd_monic,
     mul,
     normalize,
     power_sums,
@@ -175,12 +175,91 @@ def test_vandermonde_float_oracle():
 
 
 # -- squarefree part and power sums ------------------------------------------
+#
+# Euclid over Q is the referee: it forms neither the power sums nor the
+# Hankel matrices that squarefree_part() reads the squarefree part from.
+
+
+def gcd_over_Q(f, g):
+    """Monic gcd over Q of a monic integer f and an integer g, by Euclid over Fraction.
+
+    The gcd divides f, so it is a monic factor of a monic integer
+    polynomial, and Gauss's lemma makes its coefficients integers.
+    """
+    assert normalize(f)[-1] == 1
+    a = [Fraction(c) for c in normalize(f)]
+    b = [Fraction(c) for c in normalize(g)]
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, bc in enumerate(b):
+                r[shift + i] -= c * bc
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return [int(c / a[-1]) for c in a]
+
+
+def squarefree_referee(f):
+    """f / gcd(f, f') for monic f."""
+    q, r = divmod_exact(f, gcd_over_Q(f, derivative(f)))
+    assert not r
+    return q
+
+
+def squarefree_pool():
+    """Monic polynomials of degree 0-12: random ones, products with squared factors,
+    zero roots x^k * g, x^d - c, (x^3 - 1)^2 and (x^4 - 10x^2 + 1)^2."""
+    rng = random.Random(21)
+    pool = []
+    for d in range(13):
+        pool += [random_poly(rng, d, monic=True) for _ in range(3)]
+        pool += [random_poly(rng, d, -(10**6), 10**6, monic=True)]
+    for _ in range(60):
+        g = random_poly(rng, rng.randrange(1, 4), -9, 9, monic=True)
+        h = random_poly(rng, rng.randrange(0, 4), -9, 9, monic=True)
+        pool.append(mul(h, mul(g, g) if rng.randrange(2, 4) == 2 else mul(g, mul(g, g))))
+    for _ in range(20):
+        g = random_poly(rng, rng.randrange(1, 3), -(10**6), 10**6, monic=True)
+        pool.append(mul(mul(g, g), random_poly(rng, rng.randrange(0, 4), -(10**6), 10**6, monic=True)))
+    for k in range(1, 5):
+        for _ in range(5):
+            g = random_poly(rng, rng.randrange(0, 6), -9, 9, monic=True)
+            pool.append([0] * k + (mul(g, g) if rng.random() < 0.5 else g))
+    for d in range(1, 13):
+        pool += [[-c] + [0] * (d - 1) + [1] for c in (0, 1, -1, 2, 10**6)]
+    pool.append(mul([-1, 0, 0, 1], [-1, 0, 0, 1]))
+    pool.append(mul([1, 0, -10, 0, 1], [1, 0, -10, 0, 1]))
+    return [normalize(f) for f in pool]
+
+
+def test_squarefree_part_matches_euclid_referee():
+    pool = squarefree_pool()
+    assert {degree(f) for f in pool} == set(range(13))
+    assert sum(degree(squarefree_part(f)) < degree(f) for f in pool) > 100
+    for f in pool:
+        assert squarefree_part(f) == squarefree_referee(f), f
 
 
 def test_squarefree_part_examples():
     assert squarefree_part(mul(mul([-1, 1], [-1, 1]), [-2, 1])) == mul([-1, 1], [-2, 1])
     assert squarefree_part([-1, -1, 1]) == [-1, -1, 1]
     assert squarefree_part([4, -4, 1]) == [-2, 1]
+    # a vanishing smaller leading minor: H_2 = [[6, 0], [0, 0]] while 3 roots are distinct
+    assert squarefree_part(mul([-1, 0, 0, 1], [-1, 0, 0, 1])) == [-1, 0, 0, 1]
+    assert squarefree_part([0, 0, 0, 1]) == [0, 1]  # x^3: only s_0 is nonzero
+    assert squarefree_part([0, 0, 1, 1]) == [0, 1, 1]  # x^2 (x + 1)
+    assert squarefree_part([1]) == [1]
+    assert squarefree_part([7, 1, 0]) == [7, 1]
+
+
+def test_squarefree_part_requires_monic():
+    with pytest.raises(ValueError, match="monic"):
+        squarefree_part([1, 2])
+    with pytest.raises(ValueError, match="zero"):
+        squarefree_part([0, 0])
 
 
 def test_squarefree_part_coprime_with_derivative():
@@ -189,14 +268,7 @@ def test_squarefree_part_coprime_with_derivative():
         f = random_poly(rng, rng.randrange(1, 4), monic=True)
         g = random_poly(rng, rng.randrange(1, 3), monic=True)
         sf = squarefree_part(mul(mul(f, f), g))
-        assert degree(gcd_monic(sf, derivative(sf))) == 0
-
-
-def test_gcd_monic_rejects_a_non_monic_f():
-    assert gcd_monic([-1, 0, 1], [2, 2]) == [1, 1]
-    for f in ([], [-2, 0, 2], [1, 2]):
-        with pytest.raises(ValueError, match="monic"):
-            gcd_monic(f, [1, 1])
+        assert degree(gcd_over_Q(sf, derivative(sf))) == 0
 
 
 def test_power_sums_examples():
@@ -256,9 +328,14 @@ def test_ring_axioms(f, g, h):
 @given(small_poly, st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=4), st.integers(-5, 5))
 def test_divmod_exact_identity(f, g, x):
     g = normalize(g + [1])  # force monic
-    out = divmod_exact(f, g)
-    assert out is not None
-    q, r = out
+    q, r = divmod_exact(f, g)
     assert add(mul(q, g), r) == normalize(f)
     assert degree(r) < degree(g)
     assert evaluate(f, x) == evaluate(q, x) * evaluate(g, x) + evaluate(r, x)
+
+
+def test_divmod_exact_requires_a_monic_divisor():
+    assert divmod_exact([-1, 0, 1], [1, 1]) == ([-1, 1], [])
+    for g in ([], [0], [2, 2], [1, -1]):
+        with pytest.raises(ValueError, match="monic"):
+            divmod_exact([-1, 0, 1], g)

@@ -17,9 +17,9 @@ import operator
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-from .factorint import _gf_degrees
+from .factorint import Factorization, _gf_degrees
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import IntPoly, degree, discriminant, squarefree_part
+from .polyring import IntPoly, degree, discriminant
 from .recurrence import (
     DEFAULT_MAX_BITS,
     EXACT,
@@ -214,8 +214,8 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
             bounds.append(("order-2-scaled", 2 * abs(r[1]) * radical_int(abs(disc))))
     if disc != 0:
         bounds.append(("discriminant", abs(r[d - 1] * disc)))
-    # with a nonzero discriminant the polynomial is its own squarefree part
-    sf_disc = disc or discriminant(squarefree_part(analysis.cpoly))
+    # f is its own squarefree part when disc != 0; else that is the product of its distinct factors
+    sf_disc = disc or discriminant(Factorization(tuple((g, 1) for g, _ in analysis.factorization.factors)).expand())
     bounds.append(("squarefree-discriminant", abs(r[d - 1] * sf_disc)))
     bounds.append(("denominator", lcm_list([l.denominator for _, l in verdict.coefficients])))
     return bounds

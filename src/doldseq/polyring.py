@@ -96,32 +96,47 @@ def divmod_exact(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
     return normalize(q), normalize(r)
 
 
-# -- determinants, discriminants and squarefree parts -----------------------
+# -- power sums, determinants, discriminants and squarefree parts ----------
 
 
-def bareiss_det(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in matrix]
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """Bareiss elimination of m (no fewer columns than rows) in place; returns (r, sign).
+
+    Step k swaps a nonzero entry of column k up to m[k][k], then sets
+    m[i][j] = (m[i][j] m[k][k] - m[i][k] m[k][j]) / prev for i, j > k, a
+    minor of the swapped m (Sylvester's identity), so exact.  r is the
+    first column with no nonzero entry in rows r and below (else the row
+    count); rows 0..r-1 are triangular there with nonzero pivots.
+    """
     n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    sign = prev = 1
+    for k in range(n):
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return k, sign
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            row = m[i]
+            a = row[k]
+            for j in range(k + 1, len(top)):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return n, sign
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free elimination."""
+    m = [row[:] for row in matrix]
+    r, sign = _eliminate(m)
+    if r < len(m):
+        return 0
+    return sign * m[-1][-1] if m else 1
 
 
 def discriminant(f: IntPoly) -> int:
@@ -134,8 +149,7 @@ def discriminant(f: IntPoly) -> int:
     the Vandermonde matrix V[i][j] = a_j^i of the roots a_0..a_(d-1).
     Then (V V^T)[i][j] = sum_k a_k^i a_k^j = s_(i+j), so H = V V^T and
     det H = det(V)^2 = prod_(i<j) (a_i - a_j)^2, with no sign factor.
-    The s_k are integers by Newton's identities (power_sums), and
-    bareiss_det is exact, swapping rows where a pivot is zero.
+    The s_k are integers by Newton's identities (power_sums).
     """
     f = normalize(f)
     if not f:
@@ -152,27 +166,20 @@ def discriminant(f: IntPoly) -> int:
 def squarefree_part(f: IntPoly) -> IntPoly:
     """Monic product of the distinct irreducible factors of monic f.
 
-    Degrees 0 and 1 return f.  For degree d >= 2 it is the minimal
-    polynomial g of the root power sums s_0 = d, s_1, ..., s_(2d-1),
-    read off their Hankel matrices H_k[i][j] = s_(i+j), 0 <= i, j < k.
-    Proof: let a_0..a_(r-1) be the distinct roots of f, m_l their
-    multiplicities and V the k x r matrix V[i][l] = a_l^i (0^0 = 1, so a
-    zero root counts in s_0 = d).  Then s_n = sum_l m_l a_l^n and
-    H_k = V diag(m) V^T, so:
-
-    - every H_k with k > r has rank <= r and determinant 0;
-    - det H_r = prod m_l * det(V)^2 = prod m_l * disc(g) != 0, the roots
-      of g = prod (x - a_l) being distinct;
-    - sum_j g_j s_(n+j) = sum_l m_l a_l^n g(a_l) = 0 for every n >= 0.
-
-    So r is the largest k with det H_k != 0, found by scanning k down
-    from d: a smaller leading minor can vanish (for (x^3 - 1)^2,
-    H_2 = [[6, 0], [0, 0]] while r = 3).  The third line for n < r says
-    that the low coefficients c of g solve H_r c = -(s_r, ..., s_(2r-1)),
-    and H_r is invertible, so Cramer's rule gives them.  g is a monic
-    factor of the monic integer f, so by Gauss's lemma c is integral and
-    every division below is exact.  The s_n are integers by Newton's
-    identities (power_sums) and bareiss_det is exact.
+    Degrees 0 and 1 return f.  Otherwise, with d = deg f, it is the
+    minimal polynomial g = x^r + c_(r-1) x^(r-1) + ... + c_0 of the root
+    power sums s_0 = d, s_1..s_(2d-1), from one ``_eliminate`` of the
+    d x (d + 1) Hankel matrix H[i][j] = s_(i+j).  Proof: let a_l be the
+    r distinct roots, m_l their multiplicities and V_k[i][l] = a_l^i for
+    i < k (0^0 = 1: a zero root counts in s_0).  As s_n = sum_l m_l a_l^n,
+    H[:, :r] = V_d diag(m) V_r^T has rank r (distinct nodes, r <= d), and
+    sum_j g_j s_(n+j) = sum_l m_l a_l^n g(a_l) = 0 for all n makes column
+    r equal -sum_(j<r) c_j H[:, j].  So r is the first column without a
+    pivot.  Rows 0..r-1 of the result combine rows of H, so c solves
+    U c = -u for U their (triangular, nonsingular) columns 0..r-1 and u
+    their column r: back substitution from c_(r-1) down.  By Gauss's
+    lemma the monic factor g of the monic integer f is integral, so each
+    division is exact.  Newton's identities make the s_n integers.
     """
     f = normalize(f)
     if not f:
@@ -183,17 +190,12 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if d <= 1:
         return f
     s = [d, *power_sums(f, 2 * d - 1)]
-    for r in range(d, 0, -1):
-        h = [s[i : i + r] for i in range(r)]
-        det = bareiss_det(h)
-        if det:
-            break
-    rhs = [-s[i + r] for i in range(r)]
-    low = [bareiss_det([row[:j] + [b] + row[j + 1 :] for row, b in zip(h, rhs)]) // det for j in range(r)]
+    h = [s[i : i + d + 1] for i in range(d)]
+    r, _ = _eliminate(h)
+    low = [0] * r
+    for k in range(r - 1, -1, -1):
+        low[k] = -sum(map(operator.mul, h[k][k + 1 : r + 1], [*low[k + 1 :], 1])) // h[k][k]
     return [*low, 1]
-
-
-# -- power sums --------------------------------------------------------------
 
 
 def power_sums(f: IntPoly, count: int) -> list[int]:
@@ -209,8 +211,6 @@ def power_sums(f: IntPoly, count: int) -> list[int]:
     if count < 1:
         raise ValueError("count must be positive")
     d = degree(f)
-    if d == 0:
-        return [0] * count
     c = f[:-1]  # c[i] multiplies x^i
     sums: list[int] = []
     for k in range(1, min(count, d) + 1):

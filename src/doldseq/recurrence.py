@@ -28,6 +28,8 @@ from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreduc
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
+# Total budget of a view's cache: generation stops once its terms surely exceed this many bits.
+MAX_CACHE_BITS = 2**30
 
 # Integer arithmetic on integral Decimals: any rounding raises instead.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation])
@@ -70,7 +72,7 @@ def decimal_bit_length(value: Decimal) -> int:
 
 
 class TermSizeExceeded(RuntimeError):
-    """A requested term would exceed the per-term bit budget."""
+    """A requested term would exceed the per-term bit budget, or the view's cache MAX_CACHE_BITS."""
 
 
 class RecurrenceSpec(NamedTuple):
@@ -119,8 +121,11 @@ def analyze(spec: RecurrenceSpec) -> Analysis:
 class SequenceView:
     """Lazily generated, cached exact terms of a recurrence, indexed from 1.
 
-    The cache is grow-only; a per-term bit guard bounds memory: a generated
-    term v stops generation when |v| >= 2**max_bits.
+    The cache is grow-only, and two guards bound its memory: a generated
+    term v stops generation when |v| >= 2**max_bits, and so does the
+    first term that takes the cache past MAX_CACHE_BITS in total.  The
+    total sums value.adjusted(), the exponent a with 10**a <= |v|, so it
+    undercounts: a term has more than a * log2(10) bits.
     """
 
     def __init__(self, spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS):
@@ -132,6 +137,8 @@ class SequenceView:
         # 0.30102 < log10(2): a term of at most _safe_digits digits is under 2**max_bits
         self._safe_digits = max_bits * 30102 // 100000 - 1
         self._limit: Decimal | None = None  # 2**max_bits, built when a term comes near it
+        # 0.30103 > log10(2): a sum of exponents above this is over MAX_CACHE_BITS bits
+        self._room = MAX_CACHE_BITS * 30103 // 100000 - sum(v.adjusted() for v in self._cache)
 
     def terms(self, count: int) -> list[Decimal]:
         """A_1..A_count as exact integral Decimals."""
@@ -151,14 +158,22 @@ class SequenceView:
         if len(cache) < count:
             steps = self._steps
             safe = self._safe_digits
+            room = self._room
             with localcontext(EXACT):
-                for k in range(len(cache), count):
-                    value = _ZERO  # a zero sum stays +0 even when a product is -0
-                    for i, c in steps:
-                        value += c * cache[k - i]
-                    if value.adjusted() >= safe:
-                        self._check_size(value, k + 1)
-                    cache.append(value)
+                try:
+                    for k in range(len(cache), count):
+                        value = _ZERO  # a zero sum stays +0 even when a product is -0
+                        for i, c in steps:
+                            value += c * cache[k - i]
+                        size = value.adjusted()
+                        if size >= safe:
+                            self._check_size(value, k + 1)
+                        if size > room:
+                            raise TermSizeExceeded(f"terms 1 to {k + 1} need over {MAX_CACHE_BITS} bits (cache budget)")
+                        room -= size
+                        cache.append(value)
+                finally:
+                    self._room = room
         return cache
 
     def _check_size(self, value: Decimal, index: int) -> None:

@@ -202,6 +202,25 @@ def test_golden_key_facts(run_cli):
     assert doc["row"] == "any" and doc["details"]["discriminant"] == "0"
 
 
+def test_squarefree_part_runs_once_per_request(run_cli, monkeypatch):
+    calls = []
+
+    def counted(f, real=polyring.squarefree_part):
+        calls.append(f)
+        return real(f)
+
+    for module in (polyring, factorint, recurrence, dold, cli):
+        if hasattr(module, "squarefree_part"):
+            monkeypatch.setattr(module, "squarefree_part", counted)
+    cases = dict(GOLDEN_CASES)
+    # a zero discriminant: factor_over_Z takes the squarefree part, table_bounds reads its factors
+    for name in ("fail/repeated_quadratic", "algebra/density_biquadratic_squared"):
+        calls.clear()
+        code, out = run_cli(cases[name])
+        assert code == 0 and out == (HERE / "golden" / f"{name}.json").read_text()
+        assert len(calls) == 1, name
+
+
 def test_fail_is_exact_when_the_lower_bound_meets_the_gcd_of_the_bounds(run_cli):
     # no single bound is 2, but fail divides every bound, hence their gcd 2
     doc = json.loads(run_cli(["fail", "--coeffs=-2,3", "--initial=-1,-4"])[1])
@@ -268,6 +287,17 @@ def test_exit_code_two_on_guard(run_cli):
     assert code == 2
     doc = json.loads(out)
     assert doc.get("guard") is True
+    validate(out)
+
+
+def test_exit_code_two_on_the_cache_budget(run_cli, monkeypatch):
+    argv = ["gen", "--coeffs", "10", "--initial", "1", "--horizon", "100"]
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 1000)
+    code, out = run_cli(argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["guard"] is True and doc["error"] == "terms 1 to 26 need over 1000 bits (cache budget)"
     validate(out)
 
 

@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from doldseq import cli
+from doldseq import cli, recurrence
 from doldseq.dold import fail_report, mobius_sums, scan
 from doldseq.recurrence import (
     EXACT,
@@ -96,6 +96,22 @@ def test_guard_with_a_negative_budget_fires_on_the_first_generated_term():
     assert view.terms(2) == [0, 0]
     with pytest.raises(TermSizeExceeded, match="term 3 needs 0 bits"):
         view.terms(3)
+
+
+def test_cache_budget_stops_generation(monkeypatch):
+    # U_n = 10^(n-1) has exponent n - 1, so terms 1..n sum to n(n-1)/2; a 1000-bit budget
+    # allows exponents summing to 1000 * 0.30103 // 1 = 301: 25 terms (300), not 26 (325)
+    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 1000)
+    view = sequence_view(make_recurrence([10], [1]))
+    assert view.terms(25)[-1] == 10**24
+    with pytest.raises(TermSizeExceeded) as info:
+        view.terms(26)
+    assert str(info.value) == "terms 1 to 26 need over 1000 bits (cache budget)"
+    # the guard fires only past the budget: terms 1..26 take more than 1000 bits
+    assert sum((10**j).bit_length() for j in range(26)) > 1000
+    # the kept terms still count when the view is asked again
+    with pytest.raises(TermSizeExceeded, match="terms 1 to 26 "):
+        view.terms(40)
 
 
 def test_guard_at_the_default_budget():

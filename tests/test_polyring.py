@@ -108,12 +108,38 @@ def test_discriminant_requires_monic():
         discriminant([0, 0])
 
 
+def leading_minors(m):
+    return [leibniz_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+
+
+def last_column_pivot_matrices():
+    """Square matrices (sizes 2-6) whose only zero leading minor has size n - 1 or n.
+
+    A zero leading minor of size k + 1 is a zero pivot at elimination step k.  Of size n, in the
+    last column, it makes the determinant 0.  Of size n - 1 it needs the one row swap below it,
+    at the last step that has a row below, and the determinant is nonzero.
+    """
+    rng = random.Random(22)
+    out = []
+    for n in range(2, 7):
+        for k in (n - 2, n - 1):
+            made = 0
+            while made < 6:
+                m = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
+                # row k of the leading (k + 1) x (k + 1) block, made a combination of the rows above
+                weights = [rng.randrange(-3, 4) for _ in range(k)]
+                m[k][: k + 1] = [sum(w * m[i][j] for i, w in enumerate(weights)) for j in range(k + 1)]
+                if [i + 1 for i, v in enumerate(leading_minors(m)) if v == 0] == [k + 1]:
+                    out.append(m)
+                    made += 1
+    return out
+
+
 def test_bareiss_against_leibniz():
     rng = random.Random(3)
-    for n in range(1, 6):
-        for _ in range(20):
-            m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-            assert bareiss_det(m) == leibniz_det(m)
+    pool = [[[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)] for n in range(1, 6) for _ in range(20)]
+    for m in pool + last_column_pivot_matrices():
+        assert bareiss_det(m) == leibniz_det(m), m
 
 
 def discriminant_pool():
@@ -253,6 +279,13 @@ def test_squarefree_part_examples():
     assert squarefree_part([0, 0, 1, 1]) == [0, 1, 1]  # x^2 (x + 1)
     assert squarefree_part([1]) == [1]
     assert squarefree_part([7, 1, 0]) == [7, 1]
+    # (x - a)^d has one distinct root: the elimination stops at column r = 1
+    for d in range(2, 13):
+        for a in (0, 1, -1, 3, -7, 10**6):
+            f = [1]
+            for _ in range(d):
+                f = mul(f, [-a, 1])
+            assert squarefree_part(f) == [-a, 1], (a, d)
 
 
 def test_squarefree_part_requires_monic():
@@ -273,6 +306,7 @@ def test_squarefree_part_coprime_with_derivative():
 
 def test_power_sums_examples():
     assert power_sums([-1, -1, 1], 4) == [1, 3, 4, 7]  # Lucas numbers
+    assert power_sums([1], 3) == [0, 0, 0]  # no roots
     assert power_sums([-3, -12, 1], 3) == [12, 150, 1836]
     assert power_sums([2, -3, 1], 3) == [3, 5, 9]  # roots 1 and 2
 

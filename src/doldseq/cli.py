@@ -429,7 +429,7 @@ def _cmd_power(args) -> dict:
         return doc
     if bound is None:
         doc["bound"] = None
-        doc["bound_note"] = "exponent is not a multiple of the splitting-field degree"
+        doc["bound_note"] = "exponent is not a multiple of the proven splitting-degree multiple"
         return doc
     doc["bound"] = {
         "value": bound.bound,

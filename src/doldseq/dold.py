@@ -17,9 +17,9 @@ import operator
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-from .factorint import Factorization, _gf_degrees
+from .factorint import MAX_COEFF, Factorization, integer_roots
 from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import IntPoly, degree, discriminant
+from .polyring import degree, discriminant
 from .recurrence import (
     DEFAULT_MAX_BITS,
     EXACT,
@@ -281,20 +281,42 @@ class PowerBound(NamedTuple):
     heuristic: bool
 
 
-def _splitting_degree_multiple(cpoly: IntPoly, disc: int, prime_bound: int = 1000) -> int:
-    """lcm of mod-p factor degrees at primes p <= prime_bound not dividing disc, capped at d!.
+def _splitting_degree_multiple(factorization: Factorization) -> int:
+    """A multiple of the degree over Q of the splitting field of a squarefree f: a product over its factors g.
 
-    cpoly must be squarefree (disc != 0).  For order <= 2 this equals the
-    splitting-field degree; beyond that it is a lower-bound heuristic for it.
+    G = Gal(g) permutes the k = deg g roots, so G lies in S_k, and in A_k
+    iff disc(g) is a square (odd permutations negate the Vandermonde
+    product); by Lagrange |G| divides k!, or k!/2.  For k <= 2 the
+    splitting field is Q(root), of degree k.  For k = 4 and
+    g = x^4 + a x^3 + b x^2 + c x + d, G is V4, C4, D4, A4 or S4, and the
+    resolvent cubic y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2) has the
+    roots r1 r2 + r3 r4, r1 r3 + r2 r4 and r1 r4 + r2 r3, distinct since its
+    discriminant is disc(g) != 0; a root is rational iff G fixes it.  V4
+    fixes all three, C4 and D4 the pairing their 4-cycle keeps, A4 and S4
+    none; V4 and A4 lie in A_4, the others do not.  So g gives 4, 8, or
+    12 or 24 as disc(g) is a square or not, when the resolvent has three,
+    one or no rational roots.  It is monic, so these are integers dividing
+    its lowest nonzero coefficient (``integer_roots``); past
+    factor_over_Z's envelope for that coefficient, MAX_COEFF, none is
+    sought and the 12 or 24 stands.  The splitting field of f is the
+    compositum of those of its factors, so its group embeds in the product
+    of theirs by restriction, and its order divides the product.
     """
-    cap = math.factorial(degree(cpoly))
     m = 1
-    for p in primes_up_to(prime_bound):
-        if disc % p == 0:
-            continue
-        m = lcm_list([m, *_gf_degrees(cpoly, p)])
-        if m >= cap:
-            return cap
+    for g, _ in factorization.factors:
+        k = len(g) - 1
+        disc = discriminant(list(g))
+        halve = 1 + _is_square(disc)  # 2 when G lies in A_k
+        if k <= 2:
+            m *= k
+        elif k == 4:
+            d, c, b, a, _ = g
+            resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+            low = next(v for v in resolvent if v)
+            rational = len(integer_roots(resolvent)) if abs(low) <= MAX_COEFF else 0
+            m *= {3: 4, 1: 8}.get(rational, 24 // halve)
+        else:
+            m *= math.factorial(k) // halve
     return m
 
 
@@ -302,12 +324,13 @@ def power_fail_bound(analysis: Analysis, t: int) -> PowerBound | None:
     """Fail-factor multiple for the subsequence sampled at indices n**t.
 
     Requires a nonzero discriminant.  The multiplier is
-    |r_d * disc * rad(disc)|, offered when t is a multiple of the
-    splitting-field degree (exact for order <= 2, a degree-pattern
-    heuristic above that, flagged as such).  The radical of the
-    characteristic discriminant stands in for the radical of the
-    splitting-field discriminant: every prime ramified in the splitting
-    field divides the polynomial discriminant.
+    |r_d * disc * rad(disc)|, offered when t is a multiple of
+    ``_splitting_degree_multiple``, hence of the splitting-field degree.
+    Above order 2 it stays flagged as a heuristic: the power-subsequence
+    statement is not quoted.  The radical of the characteristic
+    discriminant stands in for the radical of the splitting-field
+    discriminant: every prime ramified in the splitting field divides the
+    polynomial discriminant.
     """
     if t < 1:
         raise ValueError("exponent must be positive")
@@ -316,10 +339,7 @@ def power_fail_bound(analysis: Analysis, t: int) -> PowerBound | None:
     if disc == 0:
         raise ValueError("power-subsequence bound requires a nonzero discriminant")
     radical = radical_int(abs(disc))
-    if d <= 2:
-        m = 1 if (d == 1 or _is_square(disc)) else 2
-    else:
-        m = _splitting_degree_multiple(analysis.cpoly, disc)
+    m = _splitting_degree_multiple(analysis.factorization)
     if t % m:
         return None
     return PowerBound(

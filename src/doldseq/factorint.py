@@ -1,26 +1,23 @@
 """Factorization of monic integer polynomials and mod-p diagnostics.
 
 The integer route is classical Zassenhaus on the squarefree part:
-factorization modulo a prime that keeps it squarefree, Hensel lifting past
-the Mignotte coefficient bound, then exhaustive subset recombination.
-When the discriminant is zero, the linear factors of the squarefree part
-are read off the integer roots first and only the rest is lifted.
-Everything is deterministic: the randomized equal-degree splitting is
-seeded from the input.
+factorization modulo the first prime not dividing its discriminant (so it
+stays squarefree there), Hensel lifting past the Mignotte coefficient
+bound, then exhaustive subset recombination.  When the discriminant is
+zero, the linear factors of the squarefree part are read off the integer
+roots first and only the rest is lifted.  Everything is deterministic:
+the randomized equal-degree splitting is seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
 search needs just whether f is irreducible mod p, which
 ``_gf_irreducible`` answers by distinct-degree steps that stop at the
-first factor.  The splitting-degree search in ``dold`` needs the factor
-degrees, which ``_gf_degrees`` reads off the squarefree and
-distinct-degree splits without equal-degree splitting, and
-``root_density`` needs just whether f has a root mod p: one product of
-values of f for the small primes, gcd(f, x^p - x) for the others.  On
-these paths x^p mod (f, p) is one packed power per prime, and each later
-x^(p^i) is one product with the Frobenius table of f, both from
-``polyring.zm_frobenius_powers``.  A gcd that is only tested for being 1
-is ``polyring.zm_coprime``, which makes nothing monic.
+first factor, and ``root_density`` needs just whether f has a root mod
+p: one product of values of f for the small primes, gcd(f, x^p - x) for
+the others.  On these paths x^p mod (f, p) is one packed power per
+prime, and each later x^(p^i) is one product with the Frobenius table of
+f, both from ``polyring.zm_frobenius_powers``.  A gcd that is only
+tested for being 1 is ``polyring.zm_coprime``, which makes nothing monic.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .polyring import (
     IntPoly,
     add,
     degree,
-    derivative,
     discriminant,
     divmod_exact,
     evaluate,
@@ -147,20 +143,6 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _gf_degrees(f: list[int], p: int) -> tuple[int, ...]:
-    """Sorted degrees, with multiplicity, of the monic irreducible factors of monic f over F_p.
-
-    A distinct-degree block of total degree D holds D/d factors of degree
-    d, so the degrees need no equal-degree splitting.
-    """
-    degrees: list[int] = []
-    for sqf, mult in _gf_squarefree_list(zm_reduce(f, p), p):
-        for block, d in _gf_distinct_degree(sqf, p):
-            degrees += [d] * ((len(block) - 1) // d * mult)
-    degrees.sort()
-    return tuple(degrees)
-
-
 def _gf_irreducible(f: list[int], p: int) -> bool:
     """Whether f, reduced, monic and squarefree over F_p, is irreducible there.
 
@@ -176,7 +158,7 @@ def _gf_irreducible(f: list[int], p: int) -> bool:
        <= d/2, which divides its own i <= d/2.
 
     So f is irreducible iff the gcd is 1 for every i <= d/2, and the first
-    nontrivial gcd already proves it reducible.  Unlike ``_gf_degrees``
+    nontrivial gcd already proves it reducible.  Unlike ``factor_mod_p``
     this needs no squarefree split and no further distinct-degree step.
     Each gcd is only tested for being 1 (``zm_coprime``), and the powers
     come from ``zm_frobenius_powers``, so a search that stops at the first
@@ -330,19 +312,17 @@ def _mignotte_bound(f: IntPoly) -> int:
     return 2 ** len(f) * norm
 
 
-def _good_prime(f: IntPoly) -> int:
-    fd = derivative(f)
-    for p in primes_up_to(10_000):
-        if zm_coprime(f, fd, p):
-            return p
-    raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
+def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
+    """Irreducible monic factors of a monic squarefree f over Z, given disc = disc(f) != 0.
 
-
-def _factor_squarefree_over_Z(f: IntPoly) -> list[IntPoly]:
-    """Irreducible monic factors of a monic squarefree f over Z."""
+    f is monic, so f mod p keeps its degree and disc(f) mod p is its
+    discriminant: f stays squarefree mod p iff p does not divide disc.
+    """
     if degree(f) == 1:
         return [f]
-    p = _good_prime(f)
+    p = next((p for p in primes_up_to(10_000) if disc % p), None)
+    if p is None:
+        raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
     modular = factor_mod_p(f, p)
     if len(modular) == 1:
         return [f]
@@ -376,13 +356,13 @@ def _factor_squarefree_over_Z(f: IntPoly) -> list[IntPoly]:
     return result
 
 
-def _integer_roots(f: IntPoly) -> list[int]:
+def integer_roots(f: IntPoly) -> list[int]:
     """The distinct integer roots of a monic integer f of positive degree.
 
     Write f = x^k * g with g(0) = c != 0.  A root r != 0 of f is a root of
     g, and c = g(0) - g(r) is a multiple of r, so r is a divisor of c or
-    its negative; 0 is a root iff k > 0.  Under ``factor_over_Z``'s
-    envelope |c| <= MAX_COEFF, so c is factored by trial division alone.
+    its negative; 0 is a root iff k > 0.  Every caller keeps |c| <=
+    MAX_COEFF, so c is factored by trial division alone.
     """
     k = next(i for i, c in enumerate(f) if c)
     g = f[k:]
@@ -412,16 +392,16 @@ def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     if disc is None:
         disc = discriminant(f)
     if disc:
-        irreducibles = _factor_squarefree_over_Z(f)
+        irreducibles = _factor_squarefree_over_Z(f, disc)
     else:
         # the linear factors come from the integer roots; only the rest is lifted
         rest = squarefree_part(f)
         irreducibles = []
-        for r in _integer_roots(f):
+        for r in integer_roots(f):
             irreducibles.append([-r, 1])
             rest = divmod_exact(rest, [-r, 1])[0]
         if degree(rest) > 0:
-            irreducibles += _factor_squarefree_over_Z(rest)
+            irreducibles += _factor_squarefree_over_Z(rest, discriminant(rest))
     factors: list[tuple[tuple[int, ...], int]] = []
     for irr in irreducibles:
         mult = 1

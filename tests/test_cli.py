@@ -129,6 +129,8 @@ GOLDEN_CASES = [
     ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
     ("check_fibonacci", ["check", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "50"]),
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
+    # the splitting field of x^4 - 10x^2 + 1 has degree 4 (group V4), so t = 2 gets no bound
+    ("power_order4_t2", ["power", "--t", "2", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
     # (x^4 - 10x^2 + 1)^2: a zero discriminant, so ramification is read from the squarefree part
@@ -188,7 +190,10 @@ def test_golden_key_facts(run_cli):
     # 6 meets only the radical of a heuristic bound, so it is not claimed as exact
     assert doc["empirical_lower"] == "6" and doc["fail"] is None
     assert "exactness_source" not in doc
+    assert doc["bound"]["degree_multiple"] == "4"
     cases = dict(GOLDEN_CASES)
+    doc = json.loads(run_cli(cases["power_order4_t2"])[1])
+    assert doc["bound"] is None and doc["empirical_lower"] == "6"
     doc = json.loads(run_cli(cases["fail/repeated_quadratic"])[1])
     assert doc["exact"] == "2"
     assert doc["structure"]["coefficients"][0]["value"] == {"numerator": "1", "denominator": "2"}

@@ -8,6 +8,7 @@ import pytest
 
 from doldseq.cli import parse_bfile
 from doldseq.dold import (
+    _splitting_degree_multiple,
     classify,
     fail_report,
     mobius_sum,
@@ -17,7 +18,9 @@ from doldseq.dold import (
     scan,
     table_bounds,
 )
+from doldseq.factorint import MAX_COEFF, factor_over_Z
 from doldseq.numth import divisors, mobius, primes_up_to
+from doldseq.polyring import discriminant, mul
 from doldseq.recurrence import (
     analyze,
     exact_terms,
@@ -27,6 +30,7 @@ from doldseq.recurrence import (
     square_disc_family,
     structure_test,
 )
+from test_factorint import gf_degrees, random_irreducible, random_monic
 
 
 def test_mobius_sum_examples(fibonacci, example_seq):
@@ -221,6 +225,72 @@ def test_power_fail_bound_examples(order4_variant, fibonacci):
         power_fail_bound(analyze(make_recurrence([4, -4], [2, 8])), 2)  # zero discriminant
     with pytest.raises(ValueError):
         power_fail_bound(analyze(fibonacci), 0)
+
+
+# -- the splitting-degree multiple behind power bounds -----------------------
+
+# (f ascending, Galois group, proven multiple): exact except C4, which shares D4's 8
+KNOWN_GROUPS = [
+    ([1, -3, 0, 1], "C3", 3),
+    ([-2, 0, 0, 1], "S3", 6),
+    ([1, 0, -10, 0, 1], "V4", 4),
+    ([12, 8, 0, 0, 1], "A4", 12),
+    ([1, 1, 0, 0, 1], "S4", 24),
+    (mul([-2, 0, 1], [-3, 0, 1]), "C2 x C2, two factors", 4),
+    ([-1, -1, 0, 0, 0, 1], "S5", 120),
+    ([-2, 0, 0, 0, 1], "D4", 8),
+    ([2, 0, -4, 0, 1], "C4", 8),
+]
+
+
+@pytest.mark.parametrize("f,group,multiple", KNOWN_GROUPS, ids=[g for _, g, _ in KNOWN_GROUPS])
+def test_splitting_degree_multiple_of_known_groups(f, group, multiple):
+    assert _splitting_degree_multiple(factor_over_Z(f)) == multiple
+
+
+def test_splitting_degree_multiple_past_the_resolvent_envelope():
+    # x^4 - 300001 (D4, order 8) and sqrt(2) + sqrt(602) (V4, order 4): the
+    # resolvents' lowest nonzero coefficients, 1200004 and -1739520000, are
+    # past MAX_COEFF, so only the A_4 test decides
+    for f, order, multiple in (([-300001, 0, 0, 0, 1], 8, 24), ([360000, 0, -1208, 0, 1], 4, 12)):
+        d, c, b, a, _ = f
+        low = next(v for v in [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b] if v)
+        assert abs(low) > MAX_COEFF
+        assert _splitting_degree_multiple(factor_over_Z(f)) == multiple
+        assert multiple % order == 0
+
+
+def test_splitting_degree_multiple_is_a_multiple_of_the_frobenius_exponent():
+    # the lcm of the mod-p factor degrees is the exponent of the Frobenius
+    # classes seen, which divides the order of the Galois group
+    rng = random.Random(2309)
+    pool = [random_monic(rng, deg) for deg in range(3, 9) for _ in range(5)]
+    pool += [mul(random_irreducible(rng, rng.choice([2, 3, 4])), random_irreducible(rng, 2)) for _ in range(6)]
+    gaps = 0
+    for f in pool:
+        disc = discriminant(f)
+        if not disc:
+            continue
+        exponent = math.lcm(*(d for p in primes_up_to(1000) if disc % p for d in gf_degrees(f, p)))
+        multiple = _splitting_degree_multiple(factor_over_Z(f))
+        assert multiple % exponent == 0, f
+        gaps += multiple != exponent
+    assert gaps
+
+
+def test_power_fail_bound_needs_the_proven_degree():
+    v4 = analyze(make_recurrence([0, 10, 0, -1], [1, 0, 9, 0]))  # x^4 - 10x^2 + 1, degree 4
+    assert power_fail_bound(v4, 2) is None
+    assert power_fail_bound(v4, 4).degree_multiple == 4
+    # order <= 2: 1 for order 1 and for a square discriminant, else 2, as before
+    for r1 in range(-4, 5):
+        if r1:
+            assert power_fail_bound(analyze(make_recurrence([r1], [1])), 1).degree_multiple == 1
+        for r2 in (-3, -1, 1, 2, 6):
+            analysis = analyze(make_recurrence([r1, r2], [1, 1]))
+            if analysis.disc:
+                expected = 1 if math.isqrt(max(analysis.disc, 0)) ** 2 == analysis.disc else 2
+                assert power_fail_bound(analysis, 2).degree_multiple == expected, (r1, r2)
 
 
 def test_power_scan_sampled_indices(lucas):

@@ -14,13 +14,14 @@ from doldseq.factorint import (
     _BATCH_PRIME_LIMIT,
     MAX_COEFF,
     Factorization,
-    _gf_degrees,
+    _gf_distinct_degree,
     _gf_irreducible,
+    _gf_squarefree_list,
     _has_root_mod_p,
-    _integer_roots,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
+    integer_roots,
     irreducibility_witness,
     root_density,
 )
@@ -33,6 +34,8 @@ from doldseq.polyring import (
     normalize,
     squarefree_part,
     sub,
+    zm_coprime,
+    zm_derivative,
     zm_gcd,
     zm_monic,
     zm_mul,
@@ -254,8 +257,8 @@ def test_zero_discriminant_quartics_factor_as_before():
 
 
 def test_zero_discriminant_linear_factors_and_lifted_rest():
-    assert _integer_roots([0, 0, -4, 0, 1]) == [0, 2, -2]
-    assert _integer_roots([1, 0, 1]) == []
+    assert integer_roots([0, 0, -4, 0, 1]) == [0, 2, -2]
+    assert integer_roots([1, 0, 1]) == []
     # (x + 2)^2 (x^2 + 1)(x^2 + 3): the degree-4 rest has no root and is split by lifting
     f = mul(mul([2, 1], [2, 1]), mul([1, 0, 1], [3, 0, 1]))
     assert factor_over_Z(f).factors == (((2, 1), 2), ((1, 0, 1), 1), ((3, 0, 1), 1))
@@ -359,11 +362,24 @@ def test_irreducibility_witness_rejects_nonsquarefree():
         irreducibility_witness([4, -4, 1], 100)
 
 
+def gf_degrees(f, p):
+    """Sorted degrees, with multiplicity, of the monic irreducible factors of monic f over F_p.
+
+    The degree referee: a distinct-degree block of total degree D holds
+    D/d factors of degree d, so the degrees need no equal-degree splitting.
+    """
+    degrees = []
+    for sqf, mult in _gf_squarefree_list(zm_reduce(f, p), p):
+        for block, d in _gf_distinct_degree(sqf, p):
+            degrees += [d] * ((len(block) - 1) // d * mult)
+    return tuple(sorted(degrees))
+
+
 def test_gf_degrees_examples():
     # x^2 - x - 1 has discriminant 5: inert at 2, ramified at 5, split at 11
-    assert _gf_degrees([-1, -1, 1], 2) == (2,)
-    assert _gf_degrees([-1, -1, 1], 5) == (1, 1)
-    assert _gf_degrees([-1, -1, 1], 11) == (1, 1)
+    assert gf_degrees([-1, -1, 1], 2) == (2,)
+    assert gf_degrees([-1, -1, 1], 5) == (1, 1)
+    assert gf_degrees([-1, -1, 1], 11) == (1, 1)
 
 
 def test_gf_degrees_matches_legendre():
@@ -375,7 +391,7 @@ def test_gf_degrees_matches_legendre():
             if p == 2 or disc % p == 0:
                 continue
             expected = (2,) if legendre(disc, p) == -1 else (1, 1)
-            assert _gf_degrees(f, p) == expected
+            assert gf_degrees(f, p) == expected
 
 
 def test_root_density_linear_and_bounds():
@@ -480,10 +496,13 @@ def test_factor_degrees_match_full_factorization(index):
     f = DEGREE_POOL[index]
     disc = discriminant(f)
     for p in SMALL_PRIMES:  # p = 2, 3 and the primes dividing disc (f not squarefree mod p) included
-        assert _gf_degrees(f, p) == referee_degrees(f, p), (f, p)
+        assert gf_degrees(f, p) == referee_degrees(f, p), (f, p)
+        # f mod p is squarefree, gcd(f, f') = 1, iff p does not divide disc: Zassenhaus's prime rule
+        assert (disc % p != 0) == zm_coprime(f, zm_derivative(f, p), p), (f, p)
     if disc:
         assert irreducibility_witness(f, 60) == referee_witness(f, 60)
-        assert _splitting_degree_multiple(f, disc, 60) == referee_splitting_degree(f, disc, 60)
+        # the lcm of the mod-p factor degrees divides the order of the Galois group
+        assert _splitting_degree_multiple(factor_over_Z(f)) % referee_splitting_degree(f, disc, 60) == 0
 
 
 def test_pool_reaches_every_case():
@@ -506,7 +525,7 @@ def test_gf_irreducible_matches_degree_pattern(index):
     disc = discriminant(f)
     for p in WITNESS_PRIMES:
         if disc % p:
-            assert _gf_irreducible(zm_reduce(f, p), p) == (_gf_degrees(f, p) == (degree(f),)), (f, p)
+            assert _gf_irreducible(zm_reduce(f, p), p) == (gf_degrees(f, p) == (degree(f),)), (f, p)
 
 
 def test_gf_irreducible_edge_degrees():
@@ -515,7 +534,7 @@ def test_gf_irreducible_edge_degrees():
         # x^p - x - 1 (Artin-Schreier) is irreducible of degree p mod p, so all p // 2 steps run
         artin_schreier = zm_reduce([-1, -1] + [0] * (p - 2) + [1], p)
         assert _gf_irreducible(artin_schreier, p)
-        assert _gf_degrees(artin_schreier, p) == (p,)
+        assert gf_degrees(artin_schreier, p) == (p,)
         # times x + 1 it is reducible, which the first step already finds
         assert not _gf_irreducible(zm_mul(artin_schreier, [1, 1], p), p)
 
@@ -531,6 +550,62 @@ def test_irreducibility_witness_rejects_non_monic_and_constant():
         irreducibility_witness([3, 1, 2], 100, disc=-23)
     with pytest.raises(ValueError, match="positive degree"):
         irreducibility_witness([1], 100)
+
+
+# -- Stickelberger's parity law, the referee for a witness exit by the discriminant --
+#
+# For monic f of degree d and a prime p not dividing disc, with r irreducible
+# factors mod p: (disc/p) = (-1)^(d - r) for odd p, and disc = 1 (mod 8) iff
+# d - r is even for p = 2.  A witness prime has r = 1, so it must satisfy the
+# law with r = 1; an f of even degree with a square discriminant has none.
+
+
+def stickelberger_holds(f, disc, p, r):
+    if p == 2:
+        return (disc % 8 == 1) == ((degree(f) - r) % 2 == 0)
+    return legendre(disc, p) == (-1) ** (degree(f) - r)
+
+
+def test_stickelberger_parity_law():
+    rng = random.Random(1889)
+    checked = set()
+    for deg in range(2, 9):
+        for _ in range(4):
+            f = random_monic(rng, deg)
+            disc = discriminant(f)
+            for p in primes_up_to(200):
+                if disc % p:
+                    r = len(factor_mod_p(f, p))
+                    assert stickelberger_holds(f, disc, p, r), (f, p)
+                    checked.add((p == 2, (deg - r) % 2))
+    assert checked == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_witness_primes_satisfy_stickelberger():
+    parities = []
+    for f in DEGREE_POOL:
+        disc = discriminant(f)
+        if disc and degree(f) > 1:
+            p = irreducibility_witness(f, 300, disc)
+            if p is not None:
+                assert stickelberger_holds(f, disc, p, 1), (f, p)
+                parities.append(degree(f) % 2)
+    # (disc/p) = 1 at the witnesses of odd degree and -1 at those of even degree
+    assert parities.count(0) > 5 and parities.count(1) > 5
+
+
+# the squarefree list of the benchmark's algebra pool
+BENCHMARK_SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23)
+
+
+def test_benchmark_biquadratics_have_no_witness():
+    # degree 4 and a square discriminant: an even number of factors mod every unramified p
+    pairs = list(itertools.combinations(BENCHMARK_SQUAREFREE, 2))
+    assert len(pairs) == 105
+    for a, b in pairs:
+        f = biquadratic(a, b)
+        assert math.isqrt(discriminant(f)) ** 2 == discriminant(f), (a, b)
+        assert irreducibility_witness(f, 300) is None, (a, b)
 
 
 # -- root density against a brute-force root search -------------------------

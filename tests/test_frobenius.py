@@ -14,7 +14,6 @@ import random
 import pytest
 
 from doldseq.factorint import (
-    _gf_degrees,
     _gf_distinct_degree,
     _gf_irreducible,
     factor_mod_p,
@@ -35,6 +34,7 @@ from doldseq.polyring import (
     zm_reduce,
     zm_rem,
 )
+from test_factorint import gf_degrees
 
 # p = 2 and p = 3 are in it, with every other prime up to 300
 PRIMES = primes_up_to(300)
@@ -168,7 +168,7 @@ def test_gf_irreducible_and_degrees_match_factor_mod_p(index):
     f = POOL[index]
     disc = discriminant(f)
     for p in PRIMES:
-        degrees = _gf_degrees(f, p)
+        degrees = gf_degrees(f, p)
         assert degrees == referee_degrees(f, p), (f, p)
         if disc % p:
             # the witness search's precondition: f stays squarefree of full degree mod p

@@ -48,14 +48,22 @@ def _parse_value(token: str, limit: int) -> Decimal:
 
     Plain ASCII digits, the bulk of any b-file, go straight to Decimal in
     linear time (bytes.isdigit tests them several times faster than
-    str.isdigit).  Anything else (underscores, non-ASCII digits, or more
-    than `limit` digits) goes through int() itself, so the same tokens are
-    accepted and rejected as by int().
+    str.isdigit); more than `limit` of them raise UnsupportedSizeError, the
+    guard stop, as such an integer could not be written back.  Anything
+    else (underscores, non-ASCII digits) goes through int() itself, so the
+    same tokens are accepted and rejected as by int().
     """
     digits = token[1:] if token[:1] in "+-" else token
-    if digits.isascii() and digits.encode().isdigit() and not (limit and len(digits) > limit):
+    if digits.isascii() and digits.encode().isdigit():
+        if limit and len(digits) > limit:
+            raise UnsupportedSizeError(f"a {len(digits)}-digit value, over the {limit}-digit limit for decimal input")
         return Decimal(token) or _ZERO  # "-0" is zero
     return Decimal(int(token))
+
+
+def _excerpt(line: str) -> str:
+    """The line quoted, cut to its first 40 characters, so that an error message stays short."""
+    return repr(line) if len(line) <= 40 else repr(line[:40]) + "..."
 
 
 def parse_bfile(text: str) -> BFile:
@@ -67,14 +75,16 @@ def parse_bfile(text: str) -> BFile:
             continue
         parts = stripped.split()
         if len(parts) != 2:
-            raise InputError(f"line {lineno}: expected 'index value', got {line!r}")
+            raise InputError(f"line {lineno}: expected 'index value', got {_excerpt(line)}")
         try:
             n, value = int(parts[0]), _parse_value(parts[1], limit)
+        except UnsupportedSizeError as exc:
+            raise UnsupportedSizeError(f"line {lineno}: {exc}") from None
         except ValueError:
-            raise InputError(f"line {lineno}: non-integer field in {line!r}") from None
+            raise InputError(f"line {lineno}: non-integer field in {_excerpt(line)}") from None
         if entries and n <= entries[-1][0]:
             if any(m == n for m, _ in entries):
-                raise InputError(f"line {lineno}: duplicate index {n}")
+                raise InputError(f"line {lineno}: duplicate index in {_excerpt(line)}")
             raise InputError(f"line {lineno}: indices must be strictly increasing")
         entries.append((n, value))
     if not entries:

@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 from .factorint import MAX_COEFF, Factorization, integer_roots
-from .numth import divisors, factorize, gcd_list, lcm_list, mobius, p_valuation, primes_up_to, radical_int
+from .numth import divisors, factorize, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import degree, discriminant
 from .recurrence import (
     DEFAULT_MAX_BITS,
@@ -105,24 +105,22 @@ class DoldScan(NamedTuple):
 
 
 def scan(terms: list[Decimal]) -> DoldScan:
-    """Dold violations, sign violations and the empirical lower bound of terms A_1..A_N, in one loop.
+    """Dold violations and sign violations of terms A_1..A_N in one loop, then the empirical lower bound.
 
     The terms are exact integral Decimals, as `SequenceView.terms`,
     `recurrence.power_terms` and `recurrence.exact_terms` return them.
     """
     violations = []
     negative = []
-    lower = 1
     with localcontext(EXACT):
         for n, s in enumerate(mobius_sums(terms), start=1):
             r = s % n
             if r:
-                deficiency = n // math.gcd(n, int(r))
-                violations.append(DoldViolation(n, s, deficiency))
-                lower = math.lcm(lower, deficiency)
+                violations.append(DoldViolation(n, s, n // math.gcd(n, int(r))))
             if s < 0:
                 negative.append(n)
-    return DoldScan(tuple(violations), tuple(negative), lower)
+    # the lower bound as one lcm over the distinct deficiencies; math.lcm() of nothing is 1
+    return DoldScan(tuple(violations), tuple(negative), math.lcm(*{v.deficiency for v in violations}))
 
 
 def prime_power_check(view: SequenceView, p: int, k: int, s: int) -> bool:
@@ -206,7 +204,7 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     if irreducible:
         # gcd(r_1, 2 r_2, ..., d r_d); appending the discriminant would not
         # change the gcd, so it is never included.
-        bounds.append(("gcd", gcd_list([(i + 1) * abs(c) for i, c in enumerate(r)])))
+        bounds.append(("gcd", math.gcd(*((i + 1) * abs(c) for i, c in enumerate(r)))))
     if d == 2 and disc != 0:
         if _is_square(disc):
             bounds.append(("order-2-scaled", abs(r[1]) * radical_int(disc)))
@@ -217,34 +215,28 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     # f is its own squarefree part when disc != 0; else that is the product of its distinct factors
     sf_disc = disc or discriminant(Factorization(tuple((g, 1) for g, _ in analysis.factorization.factors)).expand())
     bounds.append(("squarefree-discriminant", abs(r[d - 1] * sf_disc)))
-    bounds.append(("denominator", lcm_list([l.denominator for _, l in verdict.coefficients])))
+    bounds.append(("denominator", math.lcm(*(l.denominator for _, l in verdict.coefficients))))
     return bounds
-
-
-def _per_prime_resolution(lower: int, bounds: list[tuple[str, int]]) -> tuple[tuple[int, int, int], ...]:
-    if not bounds:
-        return ()
-    best = min(b for _, b in bounds)
-    out = []
-    for p, _ in factorize(best):
-        lo = p_valuation(p, lower) if lower else 0
-        hi = min(p_valuation(p, b) for _, b in bounds if b)
-        out.append((p, lo, hi))
-    return tuple(out)
 
 
 def fail_report(
     spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int = DEFAULT_MAX_BITS, prime_bound: int = 300
 ) -> FailReport:
-    """Full analysis of a recurrence-backed sequence.
+    """Full analysis of a recurrence-backed sequence: the fail factor bracketed as L | fail | G.
 
     Runs the structure test, classification (searching witness primes up
-    to prime_bound), theoretical bounds and the empirical scan; declares
-    the fail factor exact only when the empirical lower bound equals the
-    gcd of the proof-backed upper bounds.  The factors c that repair A
-    are closed under gcd (n | c*S_n and n | c'*S_n give n | gcd(c, c')*S_n),
-    so fail divides every proven bound and hence their gcd; the lower
-    bound divides fail, so when it equals that gcd it is fail.
+    to prime_bound), theoretical bounds and the empirical scan.  The lower
+    end L is the scan's lcm of the deficiencies n / gcd(n, S_n), each of
+    which divides any repairing c.  The upper end G is the gcd of the
+    proof-backed bounds (0 when none is proven): the factors c that repair
+    A are closed under gcd (n | c*S_n and n | c'*S_n give n | gcd(c, c')*S_n),
+    so fail divides every proven bound and hence G.  The fail factor is
+    declared exact iff L == G.
+
+    per_prime has a row (p, v_p(L), v_p(G)) for each prime p of G, and
+    v_p(fail) lies between the two.  A prime not dividing G needs no row:
+    fail | G settles its exponent at 0.  With no proven bound there is no
+    G and no row.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -254,18 +246,19 @@ def fail_report(
     result = scan(sequence_view(spec, max_bits=max_bits).terms(horizon))
     bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
+    upper = math.gcd(*(b for _, b in bounds))
     return FailReport(
         verdict="almost-dold" if verdict.almost else "not-almost-dold",
         horizon=horizon,
         empirical_lower=lower,
         upper_bounds=tuple(bounds),
-        exact=lower if bounds and lower == gcd_list([b for _, b in bounds]) else None,
+        exact=lower if lower == upper else None,
         infinite=not verdict.almost,
         structure=verdict,
         classification=classification,
         violations=result.violations,
         sign_violations=result.sign_violations,
-        per_prime=_per_prime_resolution(lower, bounds),
+        per_prime=tuple((p, p_valuation(p, lower), e) for p, e in factorize(upper)) if upper else (),
     )
 
 

@@ -153,15 +153,3 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
-
-def gcd_list(values: list[int]) -> int:
-    """gcd over a list with the gcd(0, x) = |x| convention; empty list gives 0."""
-    return math.gcd(*values) if values else 0
-
-
-def lcm_list(values: list[int]) -> int:
-    """lcm over a list; empty list gives 1."""
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out

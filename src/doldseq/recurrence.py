@@ -28,7 +28,7 @@ from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreduc
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 DEFAULT_MAX_BITS = 2**20
-# Total budget of a view's cache: generation stops once its terms surely exceed this many bits.
+# Total budget of a view's cache: generation stops once its terms' storage exceeds this many bits.
 MAX_CACHE_BITS = 2**30
 
 # Integer arithmetic on integral Decimals: any rounding raises instead.
@@ -124,8 +124,11 @@ class SequenceView:
     The cache is grow-only, and two guards bound its memory: a generated
     term v stops generation when |v| >= 2**max_bits, and so does the
     first term that takes the cache past MAX_CACHE_BITS in total.  The
-    total sums value.adjusted(), the exponent a with 10**a <= |v|, so it
-    undercounts: a term has more than a * log2(10) bits.
+    total charges each term the storage of its object, 8 * v.__sizeof__()
+    bits, which counts the coefficient's words as well as the object
+    itself: a term of one digit still costs about a hundred bytes, so a
+    sequence of short terms meets the budget too.  (sys.getsizeof gives
+    the same figure, plus any GC header, at several times the cost.)
     """
 
     def __init__(self, spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS):
@@ -137,8 +140,8 @@ class SequenceView:
         # 0.30102 < log10(2): a term of at most _safe_digits digits is under 2**max_bits
         self._safe_digits = max_bits * 30102 // 100000 - 1
         self._limit: Decimal | None = None  # 2**max_bits, built when a term comes near it
-        # 0.30103 > log10(2): a sum of exponents above this is over MAX_CACHE_BITS bits
-        self._room = MAX_CACHE_BITS * 30103 // 100000 - sum(v.adjusted() for v in self._cache)
+        # bytes the cache may still take
+        self._room = MAX_CACHE_BITS // 8 - sum(v.__sizeof__() for v in self._cache)
 
     def terms(self, count: int) -> list[Decimal]:
         """A_1..A_count as exact integral Decimals."""
@@ -165,9 +168,9 @@ class SequenceView:
                         value = _ZERO  # a zero sum stays +0 even when a product is -0
                         for i, c in steps:
                             value += c * cache[k - i]
-                        size = value.adjusted()
-                        if size >= safe:
+                        if value.adjusted() >= safe:
                             self._check_size(value, k + 1)
+                        size = value.__sizeof__()
                         if size > room:
                             raise TermSizeExceeded(f"terms 1 to {k + 1} need over {MAX_CACHE_BITS} bits (cache budget)")
                         room -= size

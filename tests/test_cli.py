@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import jsonschema
 import pytest
@@ -77,6 +78,14 @@ def test_bfile_values_are_read_as_int_reads_them(run_cli, tmp_path, token):
     path.write_text(f"1 3\n2 {token}\n3 4\n")
     code, out = run_cli(["bfile-check", str(path)])
     value = _int_or_none(token)
+    digits = token.lstrip("+-")
+    if value is None and digits.isascii() and digits.isdigit():
+        # int() refuses a plain digit string only for its length: a guard stop, not an input error
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["guard"] is True
+        assert doc["error"] == f"line 2: a {len(digits)}-digit value, over the {_LIMIT}-digit limit for decimal input"
+        return
     if value is None:
         assert code == 1
         assert json.loads(out)["error"] == f"line 2: non-integer field in '2 {token}'"
@@ -86,6 +95,37 @@ def test_bfile_values_are_read_as_int_reads_them(run_cli, tmp_path, token):
     plain.write_text(f"1 3\n2 {value}\n3 4\n")
     assert (code, out) == run_cli(["bfile-check", str(plain)])
     assert code == 0
+
+
+def test_bfile_over_long_value_is_a_short_guard_stop(run_cli, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_digit_limit", lambda: 4300)
+    path = tmp_path / "b.txt"
+    path.write_text("1 3\n2 " + "7" * 5000 + "\n3 4\n")
+    code, out = run_cli(["bfile-check", str(path)])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["guard"] is True
+    assert doc["error"] == "line 2: a 5000-digit value, over the 4300-digit limit for decimal input"
+    validate(out)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("2 " + "7" * 5000 + "x", "line 2: non-integer field in '2 " + "7" * 38 + "'..."),
+        ("2 7 " + "7" * 5000, "line 2: expected 'index value', got '2 7 " + "7" * 36 + "'..."),
+        ("1 " + "7" * 5000, "line 2: duplicate index in '1 " + "7" * 38 + "'..."),
+    ],
+    ids=["non-integer", "three-fields", "duplicate"],
+)
+def test_bfile_errors_quote_a_bounded_prefix(run_cli, tmp_path, monkeypatch, line, message):
+    monkeypatch.setattr(cli, "_digit_limit", lambda: 0)  # no limit: the long value itself is no error
+    path = tmp_path / "b.txt"
+    path.write_text(f"1 3\n{line}\n")
+    code, out = run_cli(["bfile-check", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == message
+    validate(out)
 
 
 # -- serialization -----------------------------------------------------------
@@ -298,11 +338,13 @@ def test_exit_code_two_on_guard(run_cli):
 def test_exit_code_two_on_the_cache_budget(run_cli, monkeypatch):
     argv = ["gen", "--coeffs", "10", "--initial", "1", "--horizon", "100"]
     assert run_cli(argv)[0] == 0
-    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 1000)
+    # 25 terms of the size of Decimal(1): U_26 = 10^25 still has that size
+    budget = 8 * 25 * Decimal(1).__sizeof__()
+    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", budget)
     code, out = run_cli(argv)
     assert code == 2
     doc = json.loads(out)
-    assert doc["guard"] is True and doc["error"] == "terms 1 to 26 need over 1000 bits (cache budget)"
+    assert doc["guard"] is True and doc["error"] == f"terms 1 to 26 need over {budget} bits (cache budget)"
     validate(out)
 
 

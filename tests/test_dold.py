@@ -19,7 +19,7 @@ from doldseq.dold import (
     table_bounds,
 )
 from doldseq.factorint import MAX_COEFF, factor_over_Z
-from doldseq.numth import divisors, mobius, primes_up_to
+from doldseq.numth import divisors, factorize, mobius, p_valuation, primes_up_to
 from doldseq.polyring import discriminant, mul
 from doldseq.recurrence import (
     analyze,
@@ -67,8 +67,12 @@ def _power_case(spec, t, horizon):
 
 
 def _seeded_views(seed):
-    """Recurrence, int-list and power-subsequence terms of order 1-3 (N <= 300), each with its referees."""
+    """Recurrence, int-list and power-subsequence terms of order 1-3 (N <= 300), each with its referees.
+
+    The first, a constant 1, has S_1 = 1 and S_n = 0 after it: no violation.
+    """
     rng = random.Random(seed)
+    yield _list_case(exact_terms([1] * 60), [1] * 60)
     for order in (1, 2, 3):
         coeffs = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
         initial = [rng.randint(-9, 9) for _ in range(order)]
@@ -93,7 +97,10 @@ def test_scan_matches_per_index_mobius_sum(seed):
         expected = [(n, s, n // math.gcd(n, s)) for n, s in enumerate(reference, start=1) if s % n]
         assert [(v.n, v.mobius_sum, v.deficiency) for v in result.violations] == expected
         assert list(result.sign_violations) == [n for n, s in enumerate(reference, start=1) if s < 0]
-        assert result.empirical_lower == math.lcm(1, *(d for _, _, d in expected))
+        running = 1  # the lower bound accumulated one violation at a time
+        for _, _, deficiency in expected:
+            running = math.lcm(running, deficiency)
+        assert result.empirical_lower == running
 
 
 def test_mobius_sums_match_an_int_reference_at_a_long_horizon():
@@ -112,7 +119,7 @@ def test_mobius_sums_match_an_int_reference_at_a_long_horizon():
 
 def test_scan_horizon_edges():
     assert mobius_sums([]) == []
-    assert scan([]).violations == () and scan([]).empirical_lower == 1
+    assert scan([]) == scan(exact_terms([1] * 60)) == ((), (), 1)
     assert mobius_sums(exact_terms([5])) == [5]
 
 
@@ -210,6 +217,41 @@ def test_order_1_radical_is_the_scan_lower_bound():
             radical = bounds["order-1-radical"]
             assert radical == scan(sequence_view(analysis.spec).terms(200)).empirical_lower, (r, u)
             assert bounds["order-1"] % radical == 0, (r, u)
+
+
+def _p_random_pool(seed, draws):
+    """The almost-Dold fail reports of a P-random pool: order 1-3, coefficients and initial terms in [-9, 9], N = 200."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        order = rng.randint(1, 3)
+        coeffs = [rng.randint(-9, 9) for _ in range(order)]
+        initial = [rng.randint(-9, 9) for _ in range(order)]
+        if coeffs[-1] == 0:
+            coeffs[-1] = 1
+        report = fail_report(make_recurrence(coeffs, initial), horizon=200)
+        if report.verdict == "almost-dold":
+            yield report
+
+
+# Only the gcd of its bounds closes this bracket: L = G = 2, the smallest bound is 4.
+GCD_CLOSED = make_recurrence([-2, 3], [9, -6])
+
+
+def test_fail_bracket_on_a_seeded_pool():
+    reports = [*_p_random_pool(1, 600), fail_report(GCD_CLOSED, horizon=200)]
+    assert len(reports) == 242
+    for report in reports:
+        lower = report.empirical_lower
+        upper = math.gcd(*(b for _, b in report.upper_bounds))
+        assert upper % lower == 0
+        assert (report.exact is not None) == (lower == upper)
+        assert report.exact in (None, lower)
+        assert [p for p, _, _ in report.per_prime] == [p for p, _ in factorize(upper)]
+        for p, lo, hi in report.per_prime:
+            assert lo == p_valuation(p, lower) <= hi == p_valuation(p, upper)
+    gcd_closed = reports[-1]
+    assert gcd_closed.exact == 2 < min(b for _, b in gcd_closed.upper_bounds)
+    assert sum(len(r.per_prime) > 1 for r in reports) > 0  # rows beyond the first prime are checked too
 
 
 def test_power_fail_bound_examples(order4_variant, fibonacci):

@@ -99,19 +99,32 @@ def test_guard_with_a_negative_budget_fires_on_the_first_generated_term():
 
 
 def test_cache_budget_stops_generation(monkeypatch):
-    # U_n = 10^(n-1) has exponent n - 1, so terms 1..n sum to n(n-1)/2; a 1000-bit budget
-    # allows exponents summing to 1000 * 0.30103 // 1 = 301: 25 terms (300), not 26 (325)
-    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 1000)
+    # each term is charged its storage, 8 * v.__sizeof__() bits; the terms 10^j of
+    # U_n = 10^(n-1) with j < 26 all take the size of Decimal(1), so a budget of 25 of
+    # those allows 25 terms, not 26
+    unit = Decimal(1).__sizeof__()
+    budget = 8 * 25 * unit
+    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", budget)
     view = sequence_view(make_recurrence([10], [1]))
     assert view.terms(25)[-1] == 10**24
     with pytest.raises(TermSizeExceeded) as info:
         view.terms(26)
-    assert str(info.value) == "terms 1 to 26 need over 1000 bits (cache budget)"
-    # the guard fires only past the budget: terms 1..26 take more than 1000 bits
-    assert sum((10**j).bit_length() for j in range(26)) > 1000
+    assert str(info.value) == f"terms 1 to 26 need over {budget} bits (cache budget)"
+    # the guard fires only past the budget: terms 1..26 take more than that
+    assert 8 * sum(Decimal(10**j).__sizeof__() for j in range(26)) > budget
     # the kept terms still count when the view is asked again
     with pytest.raises(TermSizeExceeded, match="terms 1 to 26 "):
         view.terms(40)
+
+
+def test_cache_budget_counts_one_digit_terms(monkeypatch):
+    # a constant sequence never grows a digit, and still meets the budget
+    unit = Decimal(1).__sizeof__()
+    monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 8 * 1000 * unit)
+    view = sequence_view(make_recurrence([1], [1]))
+    assert view.terms(1000) == [1] * 1000
+    with pytest.raises(TermSizeExceeded, match="terms 1 to 1001 "):
+        view.terms(1001)
 
 
 def test_guard_at_the_default_budget():

@@ -10,9 +10,7 @@ from doldseq.numth import (
     UnsupportedSizeError,
     divisors,
     factorize,
-    gcd_list,
     is_prime,
-    lcm_list,
     legendre,
     mobius,
     p_valuation,
@@ -180,10 +178,3 @@ def test_divisors_examples():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
-
-def test_gcd_lcm_conventions():
-    assert gcd_list([]) == 0
-    assert gcd_list([0, 6]) == 6
-    assert gcd_list([12, 18]) == 6
-    assert lcm_list([]) == 1
-    assert lcm_list([2, 3, 4]) == 12

@@ -146,8 +146,8 @@ def _write(obj, out: list[str], nl: str) -> None:
     Ints (not bools) and integral Decimals become decimal strings, a
     Fraction becomes {"numerator", "denominator"}, a NamedTuple becomes an
     object keyed by its _fields, other tuples become lists and dict keys
-    go through str().  Int and Decimal members of a dict or list, the bulk
-    of a scan report, are written in place rather than through a recursive
+    go through str().  Int and Decimal members of a list, the bulk of a
+    scan report, are written in place rather than through a recursive
     call.  So is a record in a list whose members are all ints and
     Decimals, such as a scan's Dold violation: one %-format on a template
     built once per record type in the list.
@@ -170,18 +170,11 @@ def _write(obj, out: list[str], nl: str) -> None:
         if not obj:
             out.append("{}")
             return
-        limit = _digit_limit()
         inner = nl + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            kind = type(value)
-            if kind is int:
-                out.append(f'{sep}{_quote(str(key))}: "{_int_text(value)}"')
-            elif kind is Decimal:
-                out.append(f'{sep}{_quote(str(key))}: "{_decimal_text(value, limit)}"')
-            else:
-                out.append(f"{sep}{_quote(str(key))}: ")
-                _write(value, out, inner)
+            out.append(f"{sep}{_quote(str(key))}: ")
+            _write(value, out, inner)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
@@ -258,7 +251,7 @@ def _fail_doc(report: dold.FailReport) -> dict:
         "verdict": report.verdict,
         "horizon": report.horizon,
         "empirical_lower": report.empirical_lower,
-        "fail": "infinity" if report.infinite else (report.exact if report.exact is not None else None),
+        "fail": "infinity" if report.infinite else report.exact,
         "exact": report.exact,
         "upper_bounds": [{"label": label, "value": value} for label, value in report.upper_bounds],
         "violations": report.violations,
@@ -279,7 +272,7 @@ def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",")]  # int() strips spaces and refuses an empty field
     except ValueError:
-        raise InputError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise InputError(f"expected a comma-separated integer list, got {_excerpt(text)}") from None
 
 
 _SPEC_SHAPE = "the document must be a JSON object with 'coeffs' and 'initial' lists"
@@ -326,7 +319,6 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 _FLAGS = {
     "--horizon": {"type": int, "default": dold.DEFAULT_HORIZON, "help": "scan horizon N"},
-    "--max-bits": {"type": int, "default": recurrence.DEFAULT_MAX_BITS, "help": "per-term bit budget"},
     "--prime-bound": {"type": int, "default": 1000, "help": "prime search bound X"},
 }
 
@@ -351,14 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    scan = ("--horizon", "--max-bits")
-    add_parser("gen", "generate exact terms", *scan)
-    add_parser("check", "Dold and sign condition scan", *scan)
-    add_parser("fail", "full fail-factor report", *scan, "--prime-bound")
+    add_parser("gen", "generate exact terms", "--horizon")
+    add_parser("check", "Dold and sign condition scan", "--horizon")
+    add_parser("fail", "full fail-factor report", "--horizon", "--prime-bound")
     add_parser("classify", "case-table classification", "--prime-bound")
-    power = add_parser("power", "analysis of the subsequence at indices n**t", *scan)
+    power = add_parser("power", "analysis of the subsequence at indices n**t", "--horizon")
     power.add_argument("--t", type=int, required=True)
-    family = add_parser("family", "order-2 family with square discriminant delta**2", *scan, spec=False)
+    family = add_parser("family", "order-2 family with square discriminant delta**2", "--horizon", spec=False)
     family.add_argument("--delta", type=int, required=True)
     add_parser("witness", "irreducibility-witness (convenient) check", "--prime-bound")
     density = add_parser("density", "mod-p root density diagnostic", "--prime-bound", spec=False)
@@ -385,14 +376,14 @@ def _echo(spec) -> dict:
 def _cmd_gen(args) -> dict:
     horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    view = recurrence.sequence_view(spec, max_bits=args.max_bits)
+    view = recurrence.sequence_view(spec)
     return {"input": _echo(spec), "terms": view.terms(horizon)}
 
 
 def _cmd_check(args) -> dict:
     horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    result = dold.scan(recurrence.sequence_view(spec, max_bits=args.max_bits).terms(horizon))
+    result = dold.scan(recurrence.sequence_view(spec).terms(horizon))
     return {
         "input": _echo(spec),
         "horizon": horizon,
@@ -404,7 +395,7 @@ def _cmd_check(args) -> dict:
 def _cmd_fail(args) -> dict:
     horizon, prime_bound = _at_least("--horizon", args.horizon, 1), _at_least("--prime-bound", args.prime_bound, 2)
     spec = _load_spec(args)
-    report = dold.fail_report(spec, horizon=horizon, max_bits=args.max_bits, prime_bound=prime_bound)
+    report = dold.fail_report(spec, horizon=horizon, prime_bound=prime_bound)
     return {"input": _echo(spec), **_fail_doc(report)}
 
 
@@ -420,7 +411,7 @@ def _cmd_power(args) -> dict:
     spec = _load_spec(args)
     analysis = recurrence.analyze(spec)
     verdict = recurrence.structure_test(analysis)
-    result = dold.scan(recurrence.power_terms(recurrence.sequence_view(spec, max_bits=args.max_bits), t, horizon))
+    result = dold.scan(recurrence.power_terms(recurrence.sequence_view(spec), t, horizon))
     lower = result.empirical_lower
     doc: dict = {
         "input": _echo(spec),
@@ -461,7 +452,7 @@ def _cmd_family(args) -> dict:
         spec = recurrence.square_disc_family(args.delta)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    report = dold.fail_report(spec, horizon=horizon, max_bits=args.max_bits)
+    report = dold.fail_report(spec, horizon=horizon)
     return {
         "delta": args.delta,
         "coeffs": list(spec.coefficients),

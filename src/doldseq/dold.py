@@ -19,9 +19,8 @@ from typing import NamedTuple
 
 from .factorint import MAX_COEFF, Factorization, integer_roots
 from .numth import divisors, factorize, mobius, p_valuation, primes_up_to, radical_int
-from .polyring import degree, discriminant
+from .polyring import discriminant
 from .recurrence import (
-    DEFAULT_MAX_BITS,
     EXACT,
     Analysis,
     RecurrenceSpec,
@@ -199,9 +198,7 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
         bounds.append(("order-1", abs(r[0])))
         u = analysis.spec.initial[0]
         bounds.append(("order-1-radical", math.prod(p for p, _ in factorize(abs(r[0])) if u % p)))
-    m = len(verdict.coefficients)
-    irreducible = m == 1 and degree(list(verdict.coefficients[0][0])) == d
-    if irreducible:
+    if analysis.factorization.is_irreducible():
         # gcd(r_1, 2 r_2, ..., d r_d); appending the discriminant would not
         # change the gcd, so it is never included.
         bounds.append(("gcd", math.gcd(*((i + 1) * abs(c) for i, c in enumerate(r)))))
@@ -219,9 +216,7 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     return bounds
 
 
-def fail_report(
-    spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, max_bits: int = DEFAULT_MAX_BITS, prime_bound: int = 300
-) -> FailReport:
+def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, prime_bound: int = 300) -> FailReport:
     """Full analysis of a recurrence-backed sequence: the fail factor bracketed as L | fail | G.
 
     Runs the structure test, classification (searching witness primes up
@@ -243,7 +238,7 @@ def fail_report(
     analysis = analyze(spec)
     verdict = structure_test(analysis)
     classification = classify(analysis, prime_bound)
-    result = scan(sequence_view(spec, max_bits=max_bits).terms(horizon))
+    result = scan(sequence_view(spec).terms(horizon))
     bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
     upper = math.gcd(*(b for _, b in bounds))

@@ -27,8 +27,8 @@ from typing import NamedTuple
 from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreducibility_witness
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
-DEFAULT_MAX_BITS = 2**20
-# Total budget of a view's cache: generation stops once its terms' storage exceeds this many bits.
+# Storage budgets of a view, each term charged 8 * v.__sizeof__() bits: for one term, and for its whole cache.
+MAX_TERM_BITS = 2**20
 MAX_CACHE_BITS = 2**30
 
 # Integer arithmetic on integral Decimals: any rounding raises instead.
@@ -72,7 +72,7 @@ def decimal_bit_length(value: Decimal) -> int:
 
 
 class TermSizeExceeded(RuntimeError):
-    """A requested term would exceed the per-term bit budget, or the view's cache MAX_CACHE_BITS."""
+    """A generated term's storage would exceed MAX_TERM_BITS, or take the view's cache past MAX_CACHE_BITS."""
 
 
 class RecurrenceSpec(NamedTuple):
@@ -121,25 +121,23 @@ def analyze(spec: RecurrenceSpec) -> Analysis:
 class SequenceView:
     """Lazily generated, cached exact terms of a recurrence, indexed from 1.
 
-    The cache is grow-only, and two guards bound its memory: a generated
-    term v stops generation when |v| >= 2**max_bits, and so does the
-    first term that takes the cache past MAX_CACHE_BITS in total.  The
-    total charges each term the storage of its object, 8 * v.__sizeof__()
-    bits, which counts the coefficient's words as well as the object
+    The cache is grow-only, and two guards bound its memory, both over
+    one measure, the storage of a term's object, 8 * v.__sizeof__() bits:
+    generation stops at the first term whose storage exceeds MAX_TERM_BITS,
+    and at the first that takes the cache past MAX_CACHE_BITS in total.
+    The storage counts the coefficient's words as well as the object
     itself: a term of one digit still costs about a hundred bytes, so a
-    sequence of short terms meets the budget too.  (sys.getsizeof gives
-    the same figure, plus any GC header, at several times the cost.)
+    sequence of short terms meets the cache budget too.  (sys.getsizeof
+    gives the same figure, plus any GC header, at several times the cost.)
+    The per-term budget also bounds the time a step takes, as huge
+    coefficients make each term far longer than the last.
     """
 
-    def __init__(self, spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS):
+    def __init__(self, spec: RecurrenceSpec):
         self.spec = spec
-        self.max_bits = max_bits
         self._cache: list[Decimal] = [_exact(v) for v in spec.initial]
         # (i, r_i) for each nonzero coefficient: A_k = sum r_i * A_(k-i)
         self._steps = [(i, _exact(c)) for i, c in enumerate(spec.coefficients, start=1) if c]
-        # 0.30102 < log10(2): a term of at most _safe_digits digits is under 2**max_bits
-        self._safe_digits = max_bits * 30102 // 100000 - 1
-        self._limit: Decimal | None = None  # 2**max_bits, built when a term comes near it
         # bytes the cache may still take
         self._room = MAX_CACHE_BITS // 8 - sum(v.__sizeof__() for v in self._cache)
 
@@ -160,7 +158,7 @@ class SequenceView:
         cache = self._cache
         if len(cache) < count:
             steps = self._steps
-            safe = self._safe_digits
+            term_room = MAX_TERM_BITS // 8  # bytes one term may take
             room = self._room
             with localcontext(EXACT):
                 try:
@@ -168,9 +166,9 @@ class SequenceView:
                         value = _ZERO  # a zero sum stays +0 even when a product is -0
                         for i, c in steps:
                             value += c * cache[k - i]
-                        if value.adjusted() >= safe:
-                            self._check_size(value, k + 1)
                         size = value.__sizeof__()
+                        if size > term_room:
+                            raise TermSizeExceeded(f"term {k + 1} needs over {MAX_TERM_BITS} bits (per-term budget)")
                         if size > room:
                             raise TermSizeExceeded(f"terms 1 to {k + 1} need over {MAX_CACHE_BITS} bits (cache budget)")
                         room -= size
@@ -179,18 +177,9 @@ class SequenceView:
                     self._room = room
         return cache
 
-    def _check_size(self, value: Decimal, index: int) -> None:
-        if self.max_bits >= 0:
-            with localcontext(EXACT):
-                if self._limit is None:
-                    self._limit = Decimal(2) ** self.max_bits
-                if abs(value) < self._limit:
-                    return
-        raise TermSizeExceeded(f"term {index} needs {decimal_bit_length(value)} bits (budget {self.max_bits})")
 
-
-def sequence_view(spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
-    return SequenceView(spec=spec, max_bits=max_bits)
+def sequence_view(spec: RecurrenceSpec) -> SequenceView:
+    return SequenceView(spec)
 
 
 def exact_terms(values: Iterable[int | Decimal]) -> list[Decimal]:
@@ -206,7 +195,7 @@ def power_terms(view: SequenceView, t: int, count: int) -> list[Decimal]:
     return [values[n**t - 1] for n in range(1, count + 1)]
 
 
-def trace_sequence(factor: IntPoly, max_bits: int = DEFAULT_MAX_BITS) -> SequenceView:
+def trace_sequence(factor: IntPoly) -> SequenceView:
     """The power sums of the roots of a monic irreducible polynomial, as the view of their recurrence."""
     f = normalize(factor)
     d = degree(f)
@@ -214,7 +203,7 @@ def trace_sequence(factor: IntPoly, max_bits: int = DEFAULT_MAX_BITS) -> Sequenc
         raise ValueError("generator must be nonconstant")
     coeffs = tuple(-f[d - i] for i in range(1, d + 1))
     spec = RecurrenceSpec(coeffs, tuple(power_sums(f, d)))
-    return sequence_view(spec, max_bits=max_bits)
+    return sequence_view(spec)
 
 
 class StructureVerdict(NamedTuple):

@@ -315,6 +315,21 @@ def test_empty_list_field_is_input_error(run_cli, argv):
     validate(out)
 
 
+@pytest.mark.parametrize("value", ["7" * 5000, "7" * 5000 + "x"], ids=["digits", "non-integer"])
+def test_long_list_error_quotes_a_bounded_prefix(run_cli, value):
+    if value.isdigit() and not cli._digit_limit():
+        pytest.skip("no int-str digit limit: a 5,000-digit coefficient is valid")
+    code, out = run_cli(["check", "--coeffs", value, "--initial", "1"])
+    assert code == 1
+    assert json.loads(out)["error"] == "expected a comma-separated integer list, got '" + "7" * 40 + "'..."
+    assert len(out.encode()) < 200
+    validate(out)
+    # an argument of 40 characters or fewer is quoted whole
+    short = "7" * 38 + ",x"
+    code, out = run_cli(["check", "--coeffs", short, "--initial", "1"])
+    assert json.loads(out)["error"] == f"expected a comma-separated integer list, got {short!r}"
+
+
 def test_list_fields_may_carry_spaces(run_cli):
     assert run_cli(["check", "--coeffs", " 1, 1", "--initial", "1 ,1 ", "--horizon", "50"]) == run_cli(
         GOLDEN_CASES[1][1]
@@ -327,8 +342,11 @@ def test_exit_code_one_on_unknown_flag(run_cli, capsys):
     assert code == 1
 
 
-def test_exit_code_two_on_guard(run_cli):
-    code, out = run_cli(["gen", "--coeffs", "10", "--initial", "1", "--horizon", "100", "--max-bits", "64"])
+def test_exit_code_two_on_guard(run_cli, monkeypatch):
+    argv = ["gen", "--coeffs", "10", "--initial", "1", "--horizon", "100"]
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", 8 * Decimal(1).__sizeof__())
+    code, out = run_cli(argv)
     assert code == 2
     doc = json.loads(out)
     assert doc.get("guard") is True
@@ -348,12 +366,15 @@ def test_exit_code_two_on_the_cache_budget(run_cli, monkeypatch):
     validate(out)
 
 
-def test_check_guard_document_unchanged(run_cli):
-    code, out = run_cli(["check", "--coeffs", "10", "--initial", "1", "--horizon", "100", "--max-bits", "64"])
+def test_check_guard_document_unchanged(run_cli, monkeypatch):
+    # a budget of one Decimal(1): term 77, 10^76, is the first past its inline words
+    budget = 8 * Decimal(1).__sizeof__()
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", budget)
+    code, out = run_cli(["check", "--coeffs", "10", "--initial", "1", "--horizon", "100"])
     assert code == 2
     assert out == (
         '{\n  "schema_version": "1",\n  "command": "check",\n'
-        '  "error": "term 21 needs 67 bits (budget 64)",\n  "guard": true\n}\n'
+        f'  "error": "term 77 needs over {budget} bits (per-term budget)",\n  "guard": true\n}}\n'
     )
     validate(out)
 
@@ -374,12 +395,12 @@ SUBCOMMAND_ARGV = {
 
 # The flags each subcommand reads, besides --human (all of them) and its own inputs.
 SUBCOMMAND_FLAGS = {
-    "gen": {"--horizon", "--max-bits"},
-    "check": {"--horizon", "--max-bits"},
-    "fail": {"--horizon", "--max-bits", "--prime-bound"},
+    "gen": {"--horizon"},
+    "check": {"--horizon"},
+    "fail": {"--horizon", "--prime-bound"},
     "classify": {"--prime-bound"},
-    "power": {"--horizon", "--max-bits"},
-    "family": {"--horizon", "--max-bits"},
+    "power": {"--horizon"},
+    "family": {"--horizon"},
     "witness": {"--prime-bound"},
     "density": {"--prime-bound"},
     "bfile-check": {"--horizon"},
@@ -405,7 +426,7 @@ def test_nonpositive_horizon_is_an_input_error(run_cli, tmp_path, command):
 
 
 # Every (subcommand, flag it does not read) pair, over the flags some subcommand
-# reads and the deleted --json and --seed; then bad values and an unknown flag.
+# reads and the deleted --json, --seed and --max-bits; then bad values and an unknown flag.
 UNREAD_FLAGS = [
     (command, [flag, "5"])
     for command, flags in SUBCOMMAND_FLAGS.items()
@@ -473,7 +494,7 @@ def test_parser_declares_only_the_flags_each_subcommand_reads():
             for flag in set(action.option_strings) & {"--human", "--horizon", "--max-bits", "--prime-bound"}:
                 pairs.add((command, flag))
     assert pairs == {(c, f) for c, flags in SUBCOMMAND_FLAGS.items() for f in flags | {"--human"}}
-    assert len(pairs) == 24
+    assert len(pairs) == 19
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Exact integral Decimal values: conversion, the term-bit guard, negative zero and context isolation."""
+"""Exact integral Decimal values: conversion, the term and cache guards, negative zero and context isolation."""
 
 import decimal
 import json
@@ -75,26 +75,32 @@ def test_decimal_bit_length_matches_int():
 
 @pytest.mark.parametrize("bits", [0, 1, 3, 64, 100, 1000])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_guard_fires_iff_a_term_reaches_two_to_the_budget(bits, sign):
-    # U_n = U_(n-1): every generated term equals the initial one
-    under = sequence_view(make_recurrence([1], [sign * (2**bits - 1)]), max_bits=bits)
-    assert under.terms(4) == [sign * (2**bits - 1)] * 4
-    at = sequence_view(make_recurrence([1], [sign * 2**bits]), max_bits=bits)
+def test_guard_fires_iff_a_term_passes_the_budget(monkeypatch, bits, sign):
+    # U_n = U_(n-1): every generated term is +-2^bits, each of the same storage
+    spec = make_recurrence([1], [sign * 2**bits])
+    storage = 8 * sequence_view(spec).terms(2)[1].__sizeof__()
+    # U_n = 2 U_(n-1) from +-1: term n is +-2^(n-1), over the budget first where its storage passes that of 2^bits
+    # (read from generated terms: a Decimal built from an int may take more words than one computed)
+    doubling = make_recurrence([2], [sign])
+    sizes = [8 * v.__sizeof__() for v in sequence_view(doubling).terms(bits + 300)]
+    over = next(n for n, size in enumerate(sizes, start=1) if size > storage)
+    assert over > bits + 1
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", storage)  # each +-2^bits at the budget
+    assert sequence_view(spec).terms(4) == [sign * 2**bits] * 4
+    assert sequence_view(doubling).terms(over - 1)[-1] == sign * 2 ** (over - 2)
+    with pytest.raises(TermSizeExceeded, match=f"term {over} needs over {storage} bits"):
+        sequence_view(doubling).terms(over)
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", storage - 64)  # each +-2^bits one word over it
     with pytest.raises(TermSizeExceeded) as info:
-        at.terms(2)
-    assert str(info.value) == f"term 2 needs {bits + 1} bits (budget {bits})"
-    if bits:
-        # U_n = 2 U_(n-1) from +-1: term n is +-2^(n-1), over budget first at n = bits + 1
-        doubling = sequence_view(make_recurrence([2], [sign]), max_bits=bits)
-        assert doubling.terms(bits)[-1] == sign * 2 ** (bits - 1)
-        with pytest.raises(TermSizeExceeded, match=f"term {bits + 1} needs {bits + 1} bits"):
-            doubling.terms(bits + 1)
+        sequence_view(spec).terms(2)
+    assert str(info.value) == f"term 2 needs over {storage - 64} bits (per-term budget)"
 
 
-def test_guard_with_a_negative_budget_fires_on_the_first_generated_term():
-    view = sequence_view(make_recurrence([1, 1], [0, 0]), max_bits=-3)
+def test_guard_with_a_negative_budget_fires_on_the_first_generated_term(monkeypatch):
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", -3)
+    view = sequence_view(make_recurrence([1, 1], [0, 0]))
     assert view.terms(2) == [0, 0]
-    with pytest.raises(TermSizeExceeded, match="term 3 needs 0 bits"):
+    with pytest.raises(TermSizeExceeded, match="term 3 needs over -3 bits"):
         view.terms(3)
 
 
@@ -128,12 +134,13 @@ def test_cache_budget_counts_one_digit_terms(monkeypatch):
 
 
 def test_guard_at_the_default_budget():
-    # term n is 2^(65536 (n - 1)); term 17 is exactly 2^(2^20), the default budget
+    assert recurrence.MAX_TERM_BITS == 2**20
+    # term n is 2^(65536 (n - 1)); term 17, 2^(2^20), is the first whose storage passes 2^20 bits
     view = sequence_view(make_recurrence([2**65536], [1]))
-    assert decimal_bit_length(view.terms(16)[-1]) == 2**20 - 65535
+    assert 8 * view.terms(16)[-1].__sizeof__() <= 2**20
     with pytest.raises(TermSizeExceeded) as info:
         view.terms(17)
-    assert str(info.value) == f"term 17 needs {2**20 + 1} bits (budget {2**20})"
+    assert str(info.value) == f"term 17 needs over {2**20} bits (per-term budget)"
 
 
 # -- negative zero and the caller's decimal context ---------------------------

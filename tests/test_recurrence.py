@@ -1,10 +1,12 @@
 """Recurrence views, trace sequences, and the structure test."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from doldseq import recurrence
 from doldseq.factorint import factor_over_Z, irreducibility_witness
 from doldseq.polyring import mul, normalize, power_sums
 from doldseq.dold import mobius_sums
@@ -54,10 +56,13 @@ def test_term_examples(example_seq, fibonacci, order4_seq):
     assert sequence_view(order4_seq).term(6) == 485
 
 
-def test_term_guard():
-    view = sequence_view(make_recurrence([10], [1]), max_bits=32)
-    with pytest.raises(TermSizeExceeded):
-        view.term(50)
+def test_term_guard(monkeypatch):
+    # a budget of one Decimal(1): term n = 10^(n-1) fits its inline words up to 76 digits
+    monkeypatch.setattr(recurrence, "MAX_TERM_BITS", 8 * Decimal(1).__sizeof__())
+    view = sequence_view(make_recurrence([10], [1]))
+    assert view.term(76) == 10**75
+    with pytest.raises(TermSizeExceeded, match="term 77 needs over "):
+        view.term(100)
     with pytest.raises(ValueError):
         view.term(0)
 

@@ -376,14 +376,14 @@ def _echo(spec) -> dict:
 def _cmd_gen(args) -> dict:
     horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    view = recurrence.sequence_view(spec)
+    view = recurrence.SequenceView(spec)
     return {"input": _echo(spec), "terms": view.terms(horizon)}
 
 
 def _cmd_check(args) -> dict:
     horizon = _at_least("--horizon", args.horizon, 1)
     spec = _load_spec(args)
-    result = dold.scan(recurrence.sequence_view(spec).terms(horizon))
+    result = dold.scan(recurrence.SequenceView(spec).terms(horizon))
     return {
         "input": _echo(spec),
         "horizon": horizon,
@@ -411,7 +411,7 @@ def _cmd_power(args) -> dict:
     spec = _load_spec(args)
     analysis = recurrence.analyze(spec)
     verdict = recurrence.structure_test(analysis)
-    result = dold.scan(recurrence.power_terms(recurrence.sequence_view(spec), t, horizon))
+    result = dold.scan(recurrence.power_terms(recurrence.SequenceView(spec), t, horizon))
     lower = result.empirical_lower
     doc: dict = {
         "input": _echo(spec),

@@ -17,7 +17,7 @@ import operator
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-from .factorint import MAX_COEFF, Factorization, integer_roots
+from .factorint import Factorization, _factor_squarefree_over_Z
 from .numth import divisors, factorize, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import discriminant
 from .recurrence import (
@@ -28,7 +28,6 @@ from .recurrence import (
     StructureVerdict,
     analyze,
     convenient_check,
-    sequence_view,
     structure_test,
 )
 
@@ -238,7 +237,7 @@ def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, prime_boun
     analysis = analyze(spec)
     verdict = structure_test(analysis)
     classification = classify(analysis, prime_bound)
-    result = scan(sequence_view(spec).terms(horizon))
+    result = scan(SequenceView(spec).terms(horizon))
     bounds = table_bounds(analysis, verdict)  # empty for a refuted verdict
     lower = result.empirical_lower
     upper = math.gcd(*(b for _, b in bounds))
@@ -278,17 +277,21 @@ def _splitting_degree_multiple(factorization: Factorization) -> int:
     splitting field is Q(root), of degree k.  For k = 4 and
     g = x^4 + a x^3 + b x^2 + c x + d, G is V4, C4, D4, A4 or S4, and the
     resolvent cubic y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2) has the
-    roots r1 r2 + r3 r4, r1 r3 + r2 r4 and r1 r4 + r2 r3, distinct since its
-    discriminant is disc(g) != 0; a root is rational iff G fixes it.  V4
-    fixes all three, C4 and D4 the pairing their 4-cycle keeps, A4 and S4
-    none; V4 and A4 lie in A_4, the others do not.  So g gives 4, 8, or
-    12 or 24 as disc(g) is a square or not, when the resolvent has three,
-    one or no rational roots.  It is monic, so these are integers dividing
-    its lowest nonzero coefficient (``integer_roots``); past
-    factor_over_Z's envelope for that coefficient, MAX_COEFF, none is
-    sought and the 12 or 24 stands.  The splitting field of f is the
-    compositum of those of its factors, so its group embeds in the product
-    of theirs by restriction, and its order divides the product.
+    roots r1 r2 + r3 r4, r1 r3 + r2 r4 and r1 r4 + r2 r3, and a root is
+    rational iff G fixes it.  V4 fixes all three, C4 and D4 the pairing
+    their 4-cycle keeps, A4 and S4 none; V4 and A4 lie in A_4, the others
+    do not.  So g gives 4, 8, or 12 or 24 as disc(g) is a square or not,
+    when the resolvent has three, one or no rational roots (Kappe & Warren
+    1989, "An elementary test for the Galois group of a quartic
+    polynomial", Amer. Math. Monthly 96).  The resolvent shares the
+    discriminant of g: (r1 r2 + r3 r4) - (r1 r3 + r2 r4) = (r1 - r4)(r2 - r3),
+    and likewise for the other two pairs, so the product of its squared
+    root differences is disc(g) != 0.  It is therefore squarefree, and
+    being monic its rational roots are integers: they are its linear
+    factors over Z, which ``_factor_squarefree_over_Z`` finds from disc(g)
+    at any coefficient size.  The splitting field of f is the compositum
+    of those of its factors, so its group embeds in the product of theirs
+    by restriction, and its order divides the product.
     """
     m = 1
     for g, _ in factorization.factors:
@@ -300,8 +303,7 @@ def _splitting_degree_multiple(factorization: Factorization) -> int:
         elif k == 4:
             d, c, b, a, _ = g
             resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-            low = next(v for v in resolvent if v)
-            rational = len(integer_roots(resolvent)) if abs(low) <= MAX_COEFF else 0
+            rational = sum(len(h) == 2 for h in _factor_squarefree_over_Z(resolvent, disc))
             m *= {3: 4, 1: 8}.get(rational, 24 // halve)
         else:
             m *= math.factorial(k) // halve

@@ -3,10 +3,14 @@
 The integer route is classical Zassenhaus on the squarefree part:
 factorization modulo the first prime not dividing its discriminant (so it
 stays squarefree there), Hensel lifting past the Mignotte coefficient
-bound, then exhaustive subset recombination.  When the discriminant is
-zero, the linear factors of the squarefree part are read off the integer
-roots first and only the rest is lifted.  Everything is deterministic:
-the randomized equal-degree splitting is seeded from the input.
+bound, then exhaustive subset recombination.  An input with a zero
+discriminant takes the same route through its squarefree part, and the
+multiplicities are read by exact division afterwards.  The integer
+roots of a monic polynomial are its linear factors over Z, so this route
+finds them too, at any coefficient size; ``dold`` reads the rational
+roots of a quartic's resolvent cubic this way.  Everything is
+deterministic: the randomized equal-degree splitting is seeded from the
+input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
@@ -29,14 +33,13 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numth import UnsupportedSizeError, divisors, is_prime, primes_up_to
+from .numth import UnsupportedSizeError, is_prime, primes_up_to
 from .polyring import (
     IntPoly,
     add,
     degree,
     discriminant,
     divmod_exact,
-    evaluate,
     is_monic,
     mul,
     normalize,
@@ -54,6 +57,7 @@ from .polyring import (
     zm_reduce,
 )
 
+# factor_over_Z's input envelope; larger inputs raise UnsupportedSizeError
 MAX_DEGREE = 12
 MAX_COEFF = 10**6
 # Largest prime search bound of irreducibility_witness and root_density;
@@ -356,22 +360,6 @@ def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
     return result
 
 
-def integer_roots(f: IntPoly) -> list[int]:
-    """The distinct integer roots of a monic integer f of positive degree.
-
-    Write f = x^k * g with g(0) = c != 0.  A root r != 0 of f is a root of
-    g, and c = g(0) - g(r) is a multiple of r, so r is a divisor of c or
-    its negative; 0 is a root iff k > 0.  Every caller keeps |c| <=
-    MAX_COEFF, so c is factored by trial division alone.
-    """
-    k = next(i for i, c in enumerate(f) if c)
-    g = f[k:]
-    roots = [0] if k else []
-    for d in divisors(abs(g[0])):
-        roots += [r for r in (d, -d) if not evaluate(g, r)]
-    return roots
-
-
 def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
@@ -394,14 +382,8 @@ def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     if disc:
         irreducibles = _factor_squarefree_over_Z(f, disc)
     else:
-        # the linear factors come from the integer roots; only the rest is lifted
-        rest = squarefree_part(f)
-        irreducibles = []
-        for r in integer_roots(f):
-            irreducibles.append([-r, 1])
-            rest = divmod_exact(rest, [-r, 1])[0]
-        if degree(rest) > 0:
-            irreducibles += _factor_squarefree_over_Z(rest, discriminant(rest))
+        g = squarefree_part(f)
+        irreducibles = _factor_squarefree_over_Z(g, discriminant(g))
     factors: list[tuple[tuple[int, ...], int]] = []
     for irr in irreducibles:
         mult = 1

@@ -16,10 +16,10 @@ from doldseq.numth import factorize, mobius, primes_up_to, radical_int
 from doldseq.polyring import discriminant, mul, normalize
 from doldseq.recurrence import (
     EXACT,
+    SequenceView,
     analyze,
     make_recurrence,
     power_terms,
-    sequence_view,
     square_disc_family,
     structure_test,
     trace_sequence,
@@ -43,7 +43,7 @@ def criterion(number, summary):
 def test_criterion_1_worked_example():
     with criterion(1, "order-2 example: U_3 = 306, bounds 6 and 468, exact fail 6"):
         spec = make_recurrence([12, 3], [2, 25])
-        assert sequence_view(spec).term(3) == 306
+        assert SequenceView(spec).term(3) == 306
         bounds = dict(table_bounds(analyze(spec), structure_test(analyze(spec))))
         assert bounds["gcd"] == 6
         assert bounds["order-2-scaled"] == 468
@@ -59,7 +59,7 @@ def test_criterion_2_fibonacci_and_lucas():
         assert not structure_test(analyze(fib)).almost
         assert fail_report(fib, horizon=50).infinite
         lucas = make_recurrence([1, 1], [1, 3])
-        assert scan(sequence_view(lucas).terms(300)).violations == ()
+        assert scan(SequenceView(lucas).terms(300)).violations == ()
         report = fail_report(lucas, horizon=300)
         assert dict(report.upper_bounds)["gcd"] == 1
         assert report.exact == 1
@@ -81,7 +81,7 @@ def test_criterion_4_power_subsequence():
     with criterion(4, "power subsequence t=4: refuted base, empirical fail 6 = radical bound"):
         spec = make_recurrence([0, 10, 0, -1], [1, 0, 9, 0])
         assert not structure_test(analyze(spec)).almost
-        lower = scan(power_terms(sequence_view(spec), 4, 6)).empirical_lower
+        lower = scan(power_terms(SequenceView(spec), 4, 6)).empirical_lower
         assert lower == 6
         assert discriminant([1, 0, -10, 0, 1]) == 147456
         assert radical_int(147456) == 6
@@ -95,7 +95,7 @@ def test_criterion_4_power_subsequence():
 def test_criterion_5_square_discriminant_family():
     with criterion(5, "square-discriminant family: every p | delta divides the lower bound"):
         for delta in range(2, 31):
-            lower = scan(sequence_view(square_disc_family(delta)).terms(50)).empirical_lower
+            lower = scan(SequenceView(square_disc_family(delta)).terms(50)).empirical_lower
             for p, _ in factorize(delta):
                 assert lower % p == 0, (delta, p, lower)
 
@@ -157,7 +157,7 @@ def test_criterion_7_multiplier_suites():
             spec = make_recurrence([a + b, -a * b], [rng.randrange(-9, 10), rng.randrange(-9, 10)])
             disc = (a - b) ** 2
             c = abs(spec.coefficients[1]) * radical_int(disc)
-            assert scan(scaled(sequence_view(spec).terms(200), c)).violations == (), (a, b, spec.initial)
+            assert scan(scaled(SequenceView(spec).terms(200), c)).violations == (), (a, b, spec.initial)
             done += 1
         # non-square-discriminant quadratics with equal root coefficients,
         # scaled by |2 r_2| * rad(|disc|)
@@ -173,7 +173,7 @@ def test_criterion_7_multiplier_suites():
             if spec.coefficients[1] == 0:
                 continue
             c = abs(2 * spec.coefficients[1]) * radical_int(abs(disc))
-            assert scan(scaled(sequence_view(spec).terms(200), c)).violations == (), (f, k)
+            assert scan(scaled(SequenceView(spec).terms(200), c)).violations == (), (f, k)
             done += 1
         # square-index subsequences of arbitrary quadratics, scaled by
         # |r_2 * disc| * rad(|disc|)
@@ -188,7 +188,7 @@ def test_criterion_7_multiplier_suites():
             if disc == 0:
                 continue
             c = abs(r2 * disc) * radical_int(abs(disc))
-            squares = power_terms(sequence_view(spec), 2, 12)
+            squares = power_terms(SequenceView(spec), 2, 12)
             assert scan(scaled(squares, c)).violations == (), (r1, r2, spec.initial)
             done += 1
         # trace sequences of irreducibles are Dold-clean unscaled

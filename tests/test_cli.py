@@ -155,8 +155,9 @@ def test_report_round_trip():
 # report and edits its first violation, so the goldens of the algebra
 # commands sit in golden/algebra/, the b-file golden, with its b-file, in
 # golden/bfile/, and the goldens of repeated-root characteristic polynomials
-# in golden/fail/.  That b-file has offset 0, a negative term and an index
-# gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
+# in golden/fail/.  The golden of power/quartic_d4_t8 has no violation to
+# edit, so it sits in golden/power/.  That b-file has offset 0, a negative
+# term and an index gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
 # is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
 # (x - 1)^2 (x - 2) and the structure test refutes at n = 3; the same
 # polynomial, whose factorization goes through the squarefree part, is the
@@ -171,6 +172,13 @@ GOLDEN_CASES = [
     ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
     # the splitting field of x^4 - 10x^2 + 1 has degree 4 (group V4), so t = 2 gets no bound
     ("power_order4_t2", ["power", "--t", "2", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
+    # x^4 - 300001 (group D4, order 8) with its trace sequence: the resolvent cubic
+    # y^3 + 1200004y has the one rational root 0, found although its coefficient is
+    # past factor_over_Z's envelope, so t = 8 gets a bound
+    (
+        "power/quartic_d4_t8",
+        ["power", "--t", "8", "--coeffs", "0,0,0,300001", "--initial", "0,0,0,1200004", "--horizon", "3"],
+    ),
     ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
     ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
     # (x^4 - 10x^2 + 1)^2: a zero discriminant, so ramification is read from the squarefree part
@@ -234,6 +242,8 @@ def test_golden_key_facts(run_cli):
     cases = dict(GOLDEN_CASES)
     doc = json.loads(run_cli(cases["power_order4_t2"])[1])
     assert doc["bound"] is None and doc["empirical_lower"] == "6"
+    doc = json.loads(run_cli(cases["power/quartic_d4_t8"])[1])
+    assert doc["bound"]["degree_multiple"] == "8"
     doc = json.loads(run_cli(cases["fail/repeated_quadratic"])[1])
     assert doc["exact"] == "2"
     assert doc["structure"]["coefficients"][0]["value"] == {"numerator": "1", "denominator": "2"}

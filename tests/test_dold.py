@@ -18,15 +18,15 @@ from doldseq.dold import (
     scan,
     table_bounds,
 )
-from doldseq.factorint import MAX_COEFF, factor_over_Z
+from doldseq.factorint import MAX_COEFF, Factorization, factor_over_Z
 from doldseq.numth import divisors, factorize, mobius, p_valuation, primes_up_to
 from doldseq.polyring import discriminant, mul
 from doldseq.recurrence import (
+    SequenceView,
     analyze,
     exact_terms,
     make_recurrence,
     power_terms,
-    sequence_view,
     square_disc_family,
     structure_test,
 )
@@ -34,9 +34,9 @@ from test_factorint import gf_degrees, random_irreducible, random_monic
 
 
 def test_mobius_sum_examples(fibonacci, example_seq):
-    assert mobius_sum(sequence_view(fibonacci), 3) == 1  # F_3 - F_1
-    assert mobius_sum(sequence_view(example_seq), 2) == 23  # 25 - 2
-    const = sequence_view(make_recurrence([1], [7]))
+    assert mobius_sum(SequenceView(fibonacci), 3) == 1  # F_3 - F_1
+    assert mobius_sum(SequenceView(example_seq), 2) == 23  # 25 - 2
+    const = SequenceView(make_recurrence([1], [7]))
     assert mobius_sum(const, 6) == 0
     with pytest.raises(ValueError):
         mobius_sum(const, 0)
@@ -44,7 +44,7 @@ def test_mobius_sum_examples(fibonacci, example_seq):
 
 def _recurrence_case(spec, horizon):
     """A_1..A_N of a recurrence, with the referees mobius_sum and prime_power_check on its view."""
-    view = sequence_view(spec)
+    view = SequenceView(spec)
     return view.terms(horizon), functools.partial(mobius_sum, view), functools.partial(prime_power_check, view)
 
 
@@ -62,7 +62,7 @@ def _list_case(terms, ints):
 
 def _power_case(spec, t, horizon):
     """A_(n**t) for n <= N, read by power_terms, against ints read one index at a time."""
-    view = sequence_view(spec)
+    view = SequenceView(spec)
     return _list_case(power_terms(view, t, horizon), [view.term(n**t) for n in range(1, horizon + 1)])
 
 
@@ -77,7 +77,7 @@ def _seeded_views(seed):
         coeffs = [rng.randint(-9, 9) for _ in range(order - 1)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
         initial = [rng.randint(-9, 9) for _ in range(order)]
         spec = make_recurrence(coeffs, initial)
-        ints = [sequence_view(spec).term(n) for n in range(1, 301)]
+        ints = [SequenceView(spec).term(n) for n in range(1, 301)]
         yield _recurrence_case(spec, 300)
         yield _list_case(exact_terms(ints), ints)
         yield _power_case(spec, 2, 40)
@@ -114,7 +114,7 @@ def test_mobius_sums_match_an_int_reference_at_a_long_horizon():
     for d in range(1, horizon + 1):
         for k, n in enumerate(range(d, horizon + 1, d), start=1):
             reference[n] += mu[k] * terms[d - 1]
-    assert mobius_sums(sequence_view(make_recurrence(coeffs, initial)).terms(horizon)) == reference[1:]
+    assert mobius_sums(SequenceView(make_recurrence(coeffs, initial)).terms(horizon)) == reference[1:]
 
 
 def test_scan_horizon_edges():
@@ -124,19 +124,19 @@ def test_scan_horizon_edges():
 
 
 def test_dold_violations_examples(lucas, example_seq, fibonacci):
-    assert scan(sequence_view(lucas).terms(300)).violations == ()
-    vs = scan(sequence_view(example_seq).terms(3)).violations
+    assert scan(SequenceView(lucas).terms(300)).violations == ()
+    vs = scan(SequenceView(example_seq).terms(3)).violations
     assert [(v.n, v.deficiency) for v in vs] == [(2, 2), (3, 3)]
-    vf = scan(sequence_view(fibonacci).terms(3)).violations
+    vf = scan(SequenceView(fibonacci).terms(3)).violations
     assert [(v.n, v.deficiency) for v in vf] == [(3, 3)]
 
 
 def test_prime_power_check_examples(example_seq, lucas, fibonacci):
-    assert prime_power_check(sequence_view(example_seq), 13, 1, 1) is True
-    lv = sequence_view(lucas)
+    assert prime_power_check(SequenceView(example_seq), 13, 1, 1) is True
+    lv = SequenceView(lucas)
     assert lv.term(8) - lv.term(4) == 40
     assert prime_power_check(lv, 2, 3, 1) is True
-    assert prime_power_check(sequence_view(fibonacci), 3, 1, 1) is False
+    assert prime_power_check(SequenceView(fibonacci), 3, 1, 1) is False
     with pytest.raises(ValueError):
         prime_power_check(lv, 3, 1, 6)
 
@@ -149,9 +149,9 @@ def test_sign_violations_examples():
 
 
 def test_empirical_fail_lower_examples(example_seq, lucas):
-    assert scan(sequence_view(example_seq).terms(200)).empirical_lower % 6 == 0
-    assert scan(sequence_view(lucas).terms(300)).empirical_lower == 1
-    assert scan(sequence_view(square_disc_family(6)).terms(50)).empirical_lower % 6 == 0
+    assert scan(SequenceView(example_seq).terms(200)).empirical_lower % 6 == 0
+    assert scan(SequenceView(lucas).terms(300)).empirical_lower == 1
+    assert scan(SequenceView(square_disc_family(6)).terms(50)).empirical_lower % 6 == 0
 
 
 def test_table_bounds_examples(example_seq, order4_seq, lucas):
@@ -215,7 +215,7 @@ def test_order_1_radical_is_the_scan_lower_bound():
             analysis = analyze(make_recurrence([r], [u]))
             bounds = dict(table_bounds(analysis, structure_test(analysis)))
             radical = bounds["order-1-radical"]
-            assert radical == scan(sequence_view(analysis.spec).terms(200)).empirical_lower, (r, u)
+            assert radical == scan(SequenceView(analysis.spec).terms(200)).empirical_lower, (r, u)
             assert bounds["order-1"] % radical == 0, (r, u)
 
 
@@ -293,13 +293,95 @@ def test_splitting_degree_multiple_of_known_groups(f, group, multiple):
 def test_splitting_degree_multiple_past_the_resolvent_envelope():
     # x^4 - 300001 (D4, order 8) and sqrt(2) + sqrt(602) (V4, order 4): the
     # resolvents' lowest nonzero coefficients, 1200004 and -1739520000, are
-    # past MAX_COEFF, so only the A_4 test decides
-    for f, order, multiple in (([-300001, 0, 0, 0, 1], 8, 24), ([360000, 0, -1208, 0, 1], 4, 12)):
+    # past MAX_COEFF, which bounds only factor_over_Z's input
+    for f, multiple in (([-300001, 0, 0, 0, 1], 8), ([360000, 0, -1208, 0, 1], 4)):
         d, c, b, a, _ = f
         low = next(v for v in [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b] if v)
         assert abs(low) > MAX_COEFF
         assert _splitting_degree_multiple(factor_over_Z(f)) == multiple
-        assert multiple % order == 0
+
+
+def cubic_integer_roots(f):
+    """Integer roots of a monic cubic f (ascending), by bisection on its monotone pieces.
+
+    The critical points of f are x = (-2 a2 -+ sqrt(D)) / 6, with D = 4 a2^2 - 12 a1
+    the discriminant of f' = 3x^2 + 2 a2 x + a1.  Their floor and ceiling
+    come from ceil(sqrt(D)) alone, since (m - sqrt(D)) / 6 and
+    (m - ceil(sqrt(D))) / 6 have the same floor for an integer m.  Every
+    integer root lies within the Cauchy bound 1 + max |a_i|.
+    """
+    a0, a1, a2, _ = f
+
+    def value(x):
+        return ((x + a2) * x + a1) * x + a0
+
+    bound = 1 + max(abs(a0), abs(a1), abs(a2))
+    pieces = [(-bound, bound, 1)]
+    crit = 4 * a2 * a2 - 12 * a1
+    if crit > 0:
+        root = math.isqrt(crit)
+        root += root * root < crit
+        left = (-2 * a2 - root) // 6  # floor of the smaller critical point
+        right = -((2 * a2 - root) // 6)  # ceiling of the larger one
+        pieces = [(-bound, left, 1), (left + 1, right - 1, -1), (right, bound, 1)]
+    roots = set()
+    for lo, hi, sign in pieces:
+        lo, hi = max(lo, -bound), min(hi, bound)
+        if lo > hi:
+            continue
+        # the least x in [lo, hi] with sign * f(x) >= 0, or hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * value(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if value(lo) == 0:
+            roots.add(lo)
+    return sorted(roots)
+
+
+def test_cubic_integer_roots_referee():
+    rng = random.Random(26)
+    for _ in range(200):
+        roots = [rng.randint(-10**6, 10**6) for _ in range(3)]
+        if rng.random() < 0.2:
+            roots[1] = roots[0]
+        f = mul(mul([-roots[0], 1], [-roots[1], 1]), [-roots[2], 1])
+        assert cubic_integer_roots(f) == sorted(set(roots)), roots
+        # x^2 + 1 has no real root, x^2 - 2 no rational one
+        for quadratic in ([1, 0, 1], [-2, 0, 1]):
+            assert cubic_integer_roots(mul([-roots[0], 1], quadratic)) == [roots[0]]
+    assert cubic_integer_roots([1, 1, 0, 1]) == []
+
+
+def resolvent_pool():
+    """Seeded quartics with nonzero discriminant: random ones, and x^4 + a x^2 + b past the envelope."""
+    rng = random.Random(2609)
+    pool = [[rng.randint(-10**6, 10**6) for _ in range(4)] + [1] for _ in range(60)]
+    for _ in range(60):
+        a = rng.randint(-10**6, 10**6)
+        b = rng.randint(1, 1000) ** 2 if rng.random() < 0.5 else rng.randint(-10**6, 10**6)
+        pool.append([b, 0, a, 0, 1])
+    return [g for g in pool if discriminant(g)]
+
+
+def test_resolvent_rational_roots_match_the_bisection_referee():
+    counts = set()
+    wide = 0
+    for g in resolvent_pool():
+        d, c, b, a, _ = g
+        resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
+        disc = discriminant(g)
+        assert discriminant(resolvent) == disc, g
+        rational = len(cubic_integer_roots(resolvent))
+        counts.add(rational)
+        wide += max(map(abs, resolvent)) > MAX_COEFF
+        halve = 1 + (disc > 0 and math.isqrt(disc) ** 2 == disc)
+        expected = {3: 4, 1: 8}.get(rational, 24 // halve)
+        assert _splitting_degree_multiple(Factorization(((tuple(g), 1),))) == expected, g
+    assert counts == {0, 1, 3}
+    assert wide >= 60
 
 
 def test_splitting_degree_multiple_is_a_multiple_of_the_frobenius_exponent():
@@ -337,7 +419,7 @@ def test_power_fail_bound_needs_the_proven_degree():
 
 def test_power_scan_sampled_indices(lucas):
     # a fully Dold-clean sequence stays clean on sampled indices n^t
-    base = sequence_view(lucas)
+    base = SequenceView(lucas)
     for t in (2, 3, 4):
         horizon = int(2000 ** (1 / t))
         assert scan(power_terms(base, t, horizon)).violations == ()
@@ -358,7 +440,7 @@ def _differential_views(seed):
         initial[rng.randrange(order)] = 0 if order > 1 else initial[0]
         specs.append(make_recurrence(coeffs, initial))
     for spec in specs:
-        ints = [sequence_view(spec).term(n) for n in range(1, 201)]
+        ints = [SequenceView(spec).term(n) for n in range(1, 201)]
         bfile = parse_bfile("# seeded\n" + "".join(f"{n} {v}\n" for n, v in enumerate(ints, start=1)))
         yield _recurrence_case(spec, 200)
         yield _list_case(exact_terms(ints), ints)

@@ -11,12 +11,12 @@ from doldseq import cli, recurrence
 from doldseq.dold import fail_report, mobius_sums, scan
 from doldseq.recurrence import (
     EXACT,
+    SequenceView,
     TermSizeExceeded,
     decimal_bit_length,
     exact_terms,
     make_recurrence,
     power_terms,
-    sequence_view,
 )
 
 
@@ -46,7 +46,7 @@ def test_raw_view_rejects_non_integers(value):
 
 def test_terms_is_a_copy_of_the_prefix():
     spec = make_recurrence([1, 1], [1, 1])
-    view = sequence_view(spec)
+    view = SequenceView(spec)
     first = view.terms(10)
     assert first == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
     first[0] = Decimal(99)
@@ -78,27 +78,27 @@ def test_decimal_bit_length_matches_int():
 def test_guard_fires_iff_a_term_passes_the_budget(monkeypatch, bits, sign):
     # U_n = U_(n-1): every generated term is +-2^bits, each of the same storage
     spec = make_recurrence([1], [sign * 2**bits])
-    storage = 8 * sequence_view(spec).terms(2)[1].__sizeof__()
+    storage = 8 * SequenceView(spec).terms(2)[1].__sizeof__()
     # U_n = 2 U_(n-1) from +-1: term n is +-2^(n-1), over the budget first where its storage passes that of 2^bits
     # (read from generated terms: a Decimal built from an int may take more words than one computed)
     doubling = make_recurrence([2], [sign])
-    sizes = [8 * v.__sizeof__() for v in sequence_view(doubling).terms(bits + 300)]
+    sizes = [8 * v.__sizeof__() for v in SequenceView(doubling).terms(bits + 300)]
     over = next(n for n, size in enumerate(sizes, start=1) if size > storage)
     assert over > bits + 1
     monkeypatch.setattr(recurrence, "MAX_TERM_BITS", storage)  # each +-2^bits at the budget
-    assert sequence_view(spec).terms(4) == [sign * 2**bits] * 4
-    assert sequence_view(doubling).terms(over - 1)[-1] == sign * 2 ** (over - 2)
+    assert SequenceView(spec).terms(4) == [sign * 2**bits] * 4
+    assert SequenceView(doubling).terms(over - 1)[-1] == sign * 2 ** (over - 2)
     with pytest.raises(TermSizeExceeded, match=f"term {over} needs over {storage} bits"):
-        sequence_view(doubling).terms(over)
+        SequenceView(doubling).terms(over)
     monkeypatch.setattr(recurrence, "MAX_TERM_BITS", storage - 64)  # each +-2^bits one word over it
     with pytest.raises(TermSizeExceeded) as info:
-        sequence_view(spec).terms(2)
+        SequenceView(spec).terms(2)
     assert str(info.value) == f"term 2 needs over {storage - 64} bits (per-term budget)"
 
 
 def test_guard_with_a_negative_budget_fires_on_the_first_generated_term(monkeypatch):
     monkeypatch.setattr(recurrence, "MAX_TERM_BITS", -3)
-    view = sequence_view(make_recurrence([1, 1], [0, 0]))
+    view = SequenceView(make_recurrence([1, 1], [0, 0]))
     assert view.terms(2) == [0, 0]
     with pytest.raises(TermSizeExceeded, match="term 3 needs over -3 bits"):
         view.terms(3)
@@ -111,7 +111,7 @@ def test_cache_budget_stops_generation(monkeypatch):
     unit = Decimal(1).__sizeof__()
     budget = 8 * 25 * unit
     monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", budget)
-    view = sequence_view(make_recurrence([10], [1]))
+    view = SequenceView(make_recurrence([10], [1]))
     assert view.terms(25)[-1] == 10**24
     with pytest.raises(TermSizeExceeded) as info:
         view.terms(26)
@@ -127,7 +127,7 @@ def test_cache_budget_counts_one_digit_terms(monkeypatch):
     # a constant sequence never grows a digit, and still meets the budget
     unit = Decimal(1).__sizeof__()
     monkeypatch.setattr(recurrence, "MAX_CACHE_BITS", 8 * 1000 * unit)
-    view = sequence_view(make_recurrence([1], [1]))
+    view = SequenceView(make_recurrence([1], [1]))
     assert view.terms(1000) == [1] * 1000
     with pytest.raises(TermSizeExceeded, match="terms 1 to 1001 "):
         view.terms(1001)
@@ -136,7 +136,7 @@ def test_cache_budget_counts_one_digit_terms(monkeypatch):
 def test_guard_at_the_default_budget():
     assert recurrence.MAX_TERM_BITS == 2**20
     # term n is 2^(65536 (n - 1)); term 17, 2^(2^20), is the first whose storage passes 2^20 bits
-    view = sequence_view(make_recurrence([2**65536], [1]))
+    view = SequenceView(make_recurrence([2**65536], [1]))
     assert 8 * view.terms(16)[-1].__sizeof__() <= 2**20
     with pytest.raises(TermSizeExceeded) as info:
         view.terms(17)
@@ -151,7 +151,7 @@ ZERO_PRODUCTS = [([0, -1], [0, 1]), ([-3], [0]), ([-2, -1], [0, 0]), ([2, -5, -1
 
 @pytest.mark.parametrize("coeffs,initial", ZERO_PRODUCTS)
 def test_no_negative_zero(coeffs, initial):
-    view = sequence_view(make_recurrence(coeffs, initial))
+    view = SequenceView(make_recurrence(coeffs, initial))
     assert all(is_exact(v) for v in view.terms(60))
     assert all(is_exact(s) for s in mobius_sums(view.terms(60)))
     assert all(is_exact(v.mobius_sum) for v in scan(view.terms(60)).violations)
@@ -170,11 +170,11 @@ def test_negative_zero_never_prints(run_cli, tmp_path):
 
 def _results():
     spec = make_recurrence([0, -1, 2], [0, 3, -2])
-    view = sequence_view(spec)
+    view = SequenceView(spec)
     raw = exact_terms([0, -1, 0, 5, -4, 0, 7, 0, -9, 1] * 6)
     return (
         scan(view.terms(200)),
-        scan(power_terms(sequence_view(spec), 2, 20)),
+        scan(power_terms(SequenceView(spec), 2, 20)),
         fail_report(make_recurrence([12, 3], [2, 25]), horizon=100),
         scan(raw),
         mobius_sums(view.terms(200)),

@@ -21,7 +21,6 @@ from doldseq.factorint import (
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
-    integer_roots,
     irreducibility_witness,
     root_density,
 )
@@ -256,16 +255,14 @@ def test_zero_discriminant_quartics_factor_as_before():
         assert factorization_multiset(Factorization(fz)) == kronecker_factor(f), f
 
 
-def test_zero_discriminant_linear_factors_and_lifted_rest():
-    assert integer_roots([0, 0, -4, 0, 1]) == [0, 2, -2]
-    assert integer_roots([1, 0, 1]) == []
-    # (x + 2)^2 (x^2 + 1)(x^2 + 3): the degree-4 rest has no root and is split by lifting
+def test_zero_discriminant_factors_through_the_squarefree_part():
+    # (x + 2)^2 (x^2 + 1)(x^2 + 3): the squarefree part is split by lifting
     f = mul(mul([2, 1], [2, 1]), mul([1, 0, 1], [3, 0, 1]))
     assert factor_over_Z(f).factors == (((2, 1), 2), ((1, 0, 1), 1), ((3, 0, 1), 1))
-    # x (x - 1)^2 (x^4 - 10x^2 + 1): the rest is irreducible over Z, though reducible mod every prime
+    # x (x - 1)^2 (x^4 - 10x^2 + 1): the quartic is irreducible over Z, though reducible mod every prime
     f = mul(mul([0, 1], mul([-1, 1], [-1, 1])), [1, 0, -10, 0, 1])
     assert factor_over_Z(f).factors == (((-1, 1), 2), ((0, 1), 1), ((1, 0, -10, 0, 1), 1))
-    # f(0) = 10^6, at the coefficient envelope: 49 divisors to try, with either sign
+    # f(0) = 10^6, at the coefficient envelope
     f = mul(mul([-1000, 1], [-1000, 1]), [1, 1])
     assert max(map(abs, f)) == MAX_COEFF
     assert factor_over_Z(f).factors == (((-1000, 1), 2), ((1, 1), 1))

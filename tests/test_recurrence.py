@@ -12,13 +12,13 @@ from doldseq.polyring import mul, normalize, power_sums
 from doldseq.dold import mobius_sums
 from doldseq.recurrence import (
     analyze,
+    SequenceView,
     TermSizeExceeded,
     char_poly,
     convenient_check,
     exact_terms,
     make_recurrence,
     power_terms,
-    sequence_view,
     square_disc_family,
     structure_test,
     trace_sequence,
@@ -51,15 +51,15 @@ def test_char_poly_examples(example_seq, order4_seq):
 
 
 def test_term_examples(example_seq, fibonacci, order4_seq):
-    assert sequence_view(example_seq).term(3) == 306
-    assert sequence_view(fibonacci).term(10) == 55
-    assert sequence_view(order4_seq).term(6) == 485
+    assert SequenceView(example_seq).term(3) == 306
+    assert SequenceView(fibonacci).term(10) == 55
+    assert SequenceView(order4_seq).term(6) == 485
 
 
 def test_term_guard(monkeypatch):
     # a budget of one Decimal(1): term n = 10^(n-1) fits its inline words up to 76 digits
     monkeypatch.setattr(recurrence, "MAX_TERM_BITS", 8 * Decimal(1).__sizeof__())
-    view = sequence_view(make_recurrence([10], [1]))
+    view = SequenceView(make_recurrence([10], [1]))
     assert view.term(76) == 10**75
     with pytest.raises(TermSizeExceeded, match="term 77 needs over "):
         view.term(100)
@@ -106,7 +106,7 @@ def test_structure_soundness_to_200(example_seq, order4_seq):
     for spec in (example_seq, order4_seq, square_disc_family(6)):
         verdict = structure_test(analyze(spec))
         assert verdict.almost
-        view = sequence_view(spec)
+        view = SequenceView(spec)
         traces = [(trace_sequence(list(f)), l) for f, l in verdict.coefficients]
         for n in range(1, 201):
             assert Fraction(view.term(n)) == sum(l * t.term(n) for t, l in traces)
@@ -209,7 +209,7 @@ def test_structure_test_matches_rank_referee():
         if verdict.almost:
             almost += 1
             assert [list(g) for g, _ in verdict.coefficients] == gens
-            terms = sequence_view(spec).terms(2 * d)
+            terms = SequenceView(spec).terms(2 * d)
             for n in range(2 * d):
                 assert sum(l * t[n] for (_, l), t in zip(verdict.coefficients, traces)) == int(terms[n]), spec
         else:
@@ -249,10 +249,10 @@ def test_reducible_shortcut_agrees_with_witness_search():
 
 
 def test_power_subsequence_examples(fibonacci, order4_variant):
-    fib = sequence_view(fibonacci)
+    fib = SequenceView(fibonacci)
     assert power_terms(fib, 2, 3)[2] == fib.term(9) == 34
     assert power_terms(fib, 1, 5) == fib.terms(5)
-    base = sequence_view(order4_variant)
+    base = SequenceView(order4_variant)
     assert power_terms(base, 4, 2)[1] == base.term(16)
     assert power_terms(base, 3, 0) == []
     with pytest.raises(ValueError):
@@ -264,7 +264,7 @@ def test_square_disc_family_examples():
     assert f6.coefficients == (8, -7) and f6.initial == (6, 41)
     f1 = square_disc_family(1)
     assert f1.coefficients == (3, -2) and f1.initial == (1, 1)
-    assert all(sequence_view(f1).term(n) == 1 for n in range(1, 11))
+    assert all(SequenceView(f1).term(n) == 1 for n in range(1, 11))
     f2 = square_disc_family(2)
     assert f2.coefficients == (4, -3) and f2.initial == (2, 5)
     with pytest.raises(ValueError):
@@ -273,7 +273,7 @@ def test_square_disc_family_examples():
 
 def test_square_disc_family_closed_form():
     for delta in range(1, 31):
-        view = sequence_view(square_disc_family(delta))
+        view = SequenceView(square_disc_family(delta))
         for n in range(1, 31):
             expected = Fraction(1, delta) + Fraction(delta - 1, delta) * (delta + 1) ** n
             assert view.term(n) == expected
@@ -288,7 +288,7 @@ def test_recurrence_fidelity(example_seq, fibonacci, order4_seq):
         initial = [rng.randrange(-5, 6) for _ in range(d)]
         specs.append(make_recurrence(coeffs, initial))
     for spec in specs:
-        view = sequence_view(spec)
+        view = SequenceView(spec)
         d = spec.order
         for n in range(d + 1, 201):
             assert view.term(n) == sum(c * view.term(n - i - 1) for i, c in enumerate(spec.coefficients))

@@ -2,8 +2,9 @@
 
 Reports are JSON by default, with every integer rendered as a decimal
 string so that arbitrary-precision terms survive any consumer.  Exit
-codes: 0 analysis completed (whatever the verdict), 1 input error,
-2 resource-guard stop.
+codes: 0 analysis completed (whatever the verdict), 1 input error
+(InputError), 2 resource-guard stop (numth.UnsupportedSizeError, the one
+guard type, which is not a ValueError, so no input-error handler catches it).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import dold, recurrence
 from .factorint import root_density
 from .numth import UnsupportedSizeError
 from .polyring import normalize, poly_to_string
-from .recurrence import TermSizeExceeded, decimal_bit_length
 
 SCHEMA_VERSION = "1"
 
@@ -61,6 +61,14 @@ def _parse_value(token: str, limit: int) -> Decimal:
     return Decimal(int(token))
 
 
+def _parse_int(token: str) -> int:
+    """int(token), for an integer given outside a b-file; a token longer than the digit limit goes to _parse_value."""
+    limit = _digit_limit()
+    if not limit or len(token) <= limit:
+        return int(token)  # too short to pass the limit
+    return int(_parse_value(token.strip(), limit))  # int() allows surrounding spaces
+
+
 def _excerpt(line: str) -> str:
     """The line quoted, cut to its first 40 characters, so that an error message stays short."""
     return repr(line) if len(line) <= 40 else repr(line[:40]) + "..."
@@ -95,21 +103,21 @@ def parse_bfile(text: str) -> BFile:
 # -- serialization -----------------------------------------------------------
 
 
-def _too_long(bits: int, limit: int) -> UnsupportedSizeError:
-    return UnsupportedSizeError(f"report holds a {bits}-bit integer, over the {limit}-digit limit for decimal output")
+def _too_long(limit: int) -> UnsupportedSizeError:
+    return UnsupportedSizeError(f"report holds an integer over the {limit}-digit limit for decimal output")
 
 
 def _int_text(value: int) -> str:
     try:
         return str(value)
     except ValueError:  # over the interpreter's int-to-str digit limit, which is left as set
-        raise _too_long(value.bit_length(), _digit_limit()) from None
+        raise _too_long(_digit_limit()) from None
 
 
 def _decimal_text(value: Decimal, limit: int) -> str:
     """The digits of an integral Decimal with exponent 0, under the interpreter's int digit limit (0: none)."""
     if limit and value.adjusted() >= limit:
-        raise _too_long(decimal_bit_length(value), limit)
+        raise _too_long(limit)
     return str(value) if value else "0"  # never "-0"
 
 
@@ -270,7 +278,7 @@ def _fail_doc(report: dold.FailReport) -> dict:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]  # int() strips spaces and refuses an empty field
+        return [_parse_int(part) for part in text.split(",")]  # int() strips spaces and refuses an empty field
     except ValueError:
         raise InputError(f"expected a comma-separated integer list, got {_excerpt(text)}") from None
 
@@ -279,7 +287,7 @@ _SPEC_SHAPE = "the document must be a JSON object with 'coeffs' and 'initial' li
 
 
 def _spec_ints(doc: object, key: str) -> list[int]:
-    """doc[key] as ints: a JSON list of integers (not booleans) or strings int() reads."""
+    """doc[key] as ints: a JSON list of integers (not booleans) or strings _parse_int reads."""
     if not isinstance(doc, dict):
         raise TypeError(_SPEC_SHAPE)
     if key not in doc:
@@ -287,14 +295,14 @@ def _spec_ints(doc: object, key: str) -> list[int]:
     values = doc[key]
     if not isinstance(values, list) or not all(type(c) is int or type(c) is str for c in values):
         raise TypeError(f"{key!r} must be a list of integers or integer strings")
-    return [int(c) for c in values]
+    return [c if type(c) is int else _parse_int(c) for c in values]
 
 
 def _load_spec(args) -> recurrence.RecurrenceSpec:
     if args.spec:
         try:
             with open(args.spec) as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_int=_parse_int)
             coeffs = _spec_ints(doc, "coeffs")
             initial = _spec_ints(doc, "initial")
         except (OSError, ValueError, TypeError) as exc:
@@ -317,9 +325,17 @@ class _SubcommandParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int_flag(text: str) -> int:
+    """An int-valued flag's value, read by _parse_int; a non-integer is argparse's error, quoting 40 characters."""
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
+
+
 _FLAGS = {
-    "--horizon": {"type": int, "default": dold.DEFAULT_HORIZON, "help": "scan horizon N"},
-    "--prime-bound": {"type": int, "default": 1000, "help": "prime search bound X"},
+    "--horizon": {"type": _int_flag, "default": dold.DEFAULT_HORIZON, "help": "scan horizon N"},
+    "--prime-bound": {"type": _int_flag, "default": dold.DEFAULT_PRIME_BOUND, "help": "prime search bound X"},
 }
 
 
@@ -348,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser("fail", "full fail-factor report", "--horizon", "--prime-bound")
     add_parser("classify", "case-table classification", "--prime-bound")
     power = add_parser("power", "analysis of the subsequence at indices n**t", "--horizon")
-    power.add_argument("--t", type=int, required=True)
+    power.add_argument("--t", type=_int_flag, required=True)
     family = add_parser("family", "order-2 family with square discriminant delta**2", "--horizon", spec=False)
-    family.add_argument("--delta", type=int, required=True)
+    family.add_argument("--delta", type=_int_flag, required=True)
     add_parser("witness", "irreducibility-witness (convenient) check", "--prime-bound")
     density = add_parser("density", "mod-p root density diagnostic", "--prime-bound", spec=False)
     density.add_argument("--poly", required=True, help="monic polynomial coefficients c0,c1,...,1 ascending")
@@ -424,7 +440,7 @@ def _cmd_power(args) -> dict:
     }
     try:
         bound = dold.power_fail_bound(analysis, t)
-    except ValueError as exc:
+    except ValueError as exc:  # a zero discriminant
         doc["bound"] = None
         doc["bound_note"] = str(exc)
         return doc
@@ -481,8 +497,6 @@ def _cmd_density(args) -> dict:
     prime_bound = _at_least("--prime-bound", args.prime_bound, 100, " for density")
     try:
         density = root_density(poly, prime_bound)
-    except UnsupportedSizeError:
-        raise
     except ValueError as exc:  # every prime up to the bound is ramified
         raise InputError(str(exc)) from None
     return {
@@ -598,12 +612,9 @@ def run_command(argv: list[str]) -> int:
     except InputError as exc:
         print(dumps_report({"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}))
         return 1
-    except (TermSizeExceeded, UnsupportedSizeError) as exc:
-        print(
-            dumps_report(
-                {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "guard": True}
-            )
-        )
+    except UnsupportedSizeError as exc:
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc), "guard": True}
+        print(dumps_report(doc))
         return 2
     print(text)
     return 0

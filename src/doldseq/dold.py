@@ -32,6 +32,7 @@ from .recurrence import (
 )
 
 DEFAULT_HORIZON = 200
+DEFAULT_PRIME_BOUND = 1000
 
 
 class DoldViolation(NamedTuple):
@@ -135,7 +136,7 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def classify(analysis: Analysis, prime_bound: int = 300) -> ClassificationRow:
+def classify(analysis: Analysis, prime_bound: int = DEFAULT_PRIME_BOUND) -> ClassificationRow:
     """Assign the most specific case-table row to the recurrence."""
     d = analysis.spec.order
     disc = analysis.disc
@@ -215,7 +216,9 @@ def table_bounds(analysis: Analysis, verdict: StructureVerdict) -> list[tuple[st
     return bounds
 
 
-def fail_report(spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, prime_bound: int = 300) -> FailReport:
+def fail_report(
+    spec: RecurrenceSpec, horizon: int = DEFAULT_HORIZON, prime_bound: int = DEFAULT_PRIME_BOUND
+) -> FailReport:
     """Full analysis of a recurrence-backed sequence: the fail factor bracketed as L | fail | G.
 
     Runs the structure test, classification (searching witness primes up

@@ -6,8 +6,12 @@ import bisect
 import math
 
 
-class UnsupportedSizeError(ValueError):
-    """Input exceeds the size envelope this package commits to."""
+class UnsupportedSizeError(RuntimeError):
+    """Input exceeds the size envelope this package commits to: the one guard type, for every size limit.
+
+    Not a ValueError, so no handler of malformed input catches it: the
+    CLI's InputError gives exit 1, and this gives exit 2.
+    """
 
 
 # The one prime table: every prime <= _table_limit, built on first use and grown on demand.

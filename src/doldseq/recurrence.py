@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreducibility_witness
+from .numth import UnsupportedSizeError
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
 # Storage budgets of a view, each term charged 8 * v.__sizeof__() bits: for one term, and for its whole cache.
@@ -49,30 +50,6 @@ def _exact(value) -> Decimal:
         ctx.traps[Rounded] = False  # dropping the trailing zeros of 3.00 is rounding, but exact
         value = value.quantize(_ONE)
     return value or _ZERO
-
-
-def decimal_bit_length(value: Decimal) -> int:
-    """int(value).bit_length() for an integral Decimal, in linear time.
-
-    int() of a Decimal is quadratic in its length (seconds at a million
-    bits).  This starts from a power of two just below 10**value.adjusted()
-    and doubles it past |value|, a handful of exact steps.
-    """
-    if not value:
-        return 0
-    with localcontext(EXACT):
-        magnitude = abs(value)
-        # 3.321928 < log2(10), so 2**bits <= 10**adjusted <= |value|
-        bits = max(0, value.adjusted() * 3321928 // 1000000 - 1)
-        power = Decimal(2) ** bits
-        while power <= magnitude:
-            power *= 2
-            bits += 1
-    return bits
-
-
-class TermSizeExceeded(RuntimeError):
-    """A generated term's storage would exceed MAX_TERM_BITS, or take the view's cache past MAX_CACHE_BITS."""
 
 
 class RecurrenceSpec(NamedTuple):
@@ -168,9 +145,13 @@ class SequenceView:
                             value += c * cache[k - i]
                         size = value.__sizeof__()
                         if size > term_room:
-                            raise TermSizeExceeded(f"term {k + 1} needs over {MAX_TERM_BITS} bits (per-term budget)")
+                            raise UnsupportedSizeError(
+                                f"term {k + 1} needs over {MAX_TERM_BITS} bits (per-term budget)"
+                            )
                         if size > room:
-                            raise TermSizeExceeded(f"terms 1 to {k + 1} need over {MAX_CACHE_BITS} bits (cache budget)")
+                            raise UnsupportedSizeError(
+                                f"terms 1 to {k + 1} need over {MAX_CACHE_BITS} bits (cache budget)"
+                            )
                         room -= size
                         cache.append(value)
                 finally:

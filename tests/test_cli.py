@@ -151,81 +151,38 @@ def test_report_round_trip():
 
 # -- golden files for the documented invocations -----------------------------
 #
-# The benchmark self-test reads every top-level golden as a recurrence scan
-# report and edits its first violation, so the goldens of the algebra
-# commands sit in golden/algebra/, the b-file golden, with its b-file, in
-# golden/bfile/, and the goldens of repeated-root characteristic polynomials
-# in golden/fail/.  The golden of power/quartic_d4_t8 has no violation to
-# edit, so it sits in golden/power/.  That b-file has offset 0, a negative
-# term and an index gap, so both warnings appear.  In fail/repeated_quadratic the polynomial
-# is (x^2 + 1)^2 and U = V/2; in fail/repeated_root_refuted it is
-# (x - 1)^2 (x - 2) and the structure test refutes at n = 3; the same
-# polynomial, whose factorization goes through the squarefree part, is the
-# `any` row of algebra/classify_repeated_root.  The primes of
-# algebra/density_quadratic_10000 lie on both sides of root_density's batch limit.
-# The characteristic polynomial of algebra/witness_biquadratic, x^4 - 10x^2 + 1,
-# is reducible mod every prime, so its witness search scans every prime <= 300.
+# golden/manifest.txt lists them, and says why each is there; the CI
+# console-script step runs the same list.  Its paths are relative to golden/.
 
+GOLDEN = HERE / "golden"
 GOLDEN_CASES = [
-    ("fail_example", ["fail", "--coeffs", "12,3", "--initial", "2,25", "--horizon", "200"]),
-    ("check_fibonacci", ["check", "--coeffs", "1,1", "--initial", "1,1", "--horizon", "50"]),
-    ("power_order4", ["power", "--t", "4", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
-    # the splitting field of x^4 - 10x^2 + 1 has degree 4 (group V4), so t = 2 gets no bound
-    ("power_order4_t2", ["power", "--t", "2", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--horizon", "6"]),
-    # x^4 - 300001 (group D4, order 8) with its trace sequence: the resolvent cubic
-    # y^3 + 1200004y has the one rational root 0, found although its coefficient is
-    # past factor_over_Z's envelope, so t = 8 gets a bound
-    (
-        "power/quartic_d4_t8",
-        ["power", "--t", "8", "--coeffs", "0,0,0,300001", "--initial", "0,0,0,1200004", "--horizon", "3"],
-    ),
-    ("algebra/density_biquadratic", ["density", "--poly=1,0,-10,0,1"]),
-    ("algebra/density_quadratic_10000", ["density", "--poly=1,0,1", "--prime-bound", "10000"]),
-    # (x^4 - 10x^2 + 1)^2: a zero discriminant, so ramification is read from the squarefree part
-    ("algebra/density_biquadratic_squared", ["density", "--poly=1,0,-20,0,102,0,-20,0,1"]),
-    ("algebra/witness_cubic", ["witness", "--coeffs", "1,1,1", "--initial", "1,1,1"]),
-    (
-        "algebra/witness_biquadratic",
-        ["witness", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--prime-bound", "300"],
-    ),
-    (
-        "algebra/classify_biquadratic",
-        ["classify", "--coeffs", "0,10,0,-1", "--initial", "1,0,9,0", "--prime-bound", "300"],
-    ),
-    (
-        "algebra/classify_product_degree8",
-        [
-            "classify",
-            "--coeffs=-2,11,23,92,57,-12,-60,-36",
-            "--initial=-1,-4,1,7,8,-9,-1,1",
-            "--prime-bound",
-            "300",
-        ],
-    ),
-    (
-        "algebra/witness_generic_degree8",
-        ["witness", "--coeffs=0,4,-2,-5,7,-9,-4,-2", "--initial=-7,-9,-8,2,-6,-8,-8,9", "--prime-bound", "300"],
-    ),
-    ("bfile/offset0_gap", ["bfile-check", str(HERE / "golden" / "bfile" / "offset0_gap.txt")]),
-    ("fail/repeated_quadratic", ["fail", "--coeffs", "0,-2,0,-1", "--initial", "0,-1,0,1", "--horizon", "40"]),
-    ("fail/repeated_root_refuted", ["fail", "--coeffs", "4,-5,2", "--initial", "1,2,9", "--horizon", "30"]),
-    ("algebra/classify_repeated_root", ["classify", "--coeffs", "4,-5,2", "--initial", "1,2,9"]),
+    (name, argv)
+    for line in (GOLDEN / "manifest.txt").read_text().splitlines()
+    if line.strip() and not line.startswith("#")
+    for name, *argv in [line.split()]
 ]
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden_invocations(run_cli, name, argv):
+def test_golden_invocations(run_cli, monkeypatch, name, argv):
+    monkeypatch.chdir(GOLDEN)
     code, out = run_cli(argv)
     assert code == 0
-    assert out == (HERE / "golden" / f"{name}.json").read_text()
+    assert out == (GOLDEN / f"{name}.json").read_text()
     validate(out)
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_golden_human_invocations(run_cli, name, argv):
+def test_golden_human_invocations(run_cli, monkeypatch, name, argv):
+    monkeypatch.chdir(GOLDEN)
     code, out = run_cli([*argv, "--human"])
     assert code == 0
-    assert out == (HERE / "golden" / f"{name}.human.txt").read_text()
+    assert out == (GOLDEN / f"{name}.human.txt").read_text()
+
+
+def test_golden_manifest_lists_every_golden():
+    names = {str(path.relative_to(GOLDEN).with_suffix("")) for path in GOLDEN.rglob("*.json")}
+    assert sorted(names) == sorted(name for name, _ in GOLDEN_CASES)
 
 
 def test_golden_key_facts(run_cli):
@@ -272,7 +229,7 @@ def test_squarefree_part_runs_once_per_request(run_cli, monkeypatch):
     for name in ("fail/repeated_quadratic", "algebra/density_biquadratic_squared"):
         calls.clear()
         code, out = run_cli(cases[name])
-        assert code == 0 and out == (HERE / "golden" / f"{name}.json").read_text()
+        assert code == 0 and out == (GOLDEN / f"{name}.json").read_text()
         assert len(calls) == 1, name
 
 
@@ -330,8 +287,12 @@ def test_long_list_error_quotes_a_bounded_prefix(run_cli, value):
     if value.isdigit() and not cli._digit_limit():
         pytest.skip("no int-str digit limit: a 5,000-digit coefficient is valid")
     code, out = run_cli(["check", "--coeffs", value, "--initial", "1"])
-    assert code == 1
-    assert json.loads(out)["error"] == "expected a comma-separated integer list, got '" + "7" * 40 + "'..."
+    if value.isdigit():
+        # an integer over the int-str digit limit is a guard stop on every input route
+        assert code == 2 and json.loads(out)["guard"] is True
+    else:
+        assert code == 1
+        assert json.loads(out)["error"] == "expected a comma-separated integer list, got '" + "7" * 40 + "'..."
     assert len(out.encode()) < 200
     validate(out)
     # an argument of 40 characters or fewer is quoted whole
@@ -387,6 +348,72 @@ def test_check_guard_document_unchanged(run_cli, monkeypatch):
         f'  "error": "term 77 needs over {budget} bits (per-term budget)",\n  "guard": true\n}}\n'
     )
     validate(out)
+
+
+def test_guard_in_the_power_bound_is_not_an_input_note(run_cli):
+    # the discriminant's cofactor 19910031605694313409 survives trial division and is not prime
+    code, out = run_cli(["power", "--t", "6", "--coeffs=-500953,242858,141331", "--initial", "1,0,0", "--horizon", "2"])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["guard"] is True and doc["error"] == "cannot factor remaining cofactor 19910031605694313409"
+    validate(out)
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _spec(tmp_path, member):
+    """A --spec document whose one initial term is the JSON text `member`."""
+    return ["--spec", _file(tmp_path, "rec.json", f'{{"coeffs": [1], "initial": [{member}]}}')]
+
+
+# Every route by which an integer enters from outside, as argv reading `token` as one integer.
+INTEGER_ROUTES = {
+    "--coeffs": lambda token, tmp: ["check", "--coeffs", token, "--initial", "1"],
+    "--initial": lambda token, tmp: ["check", "--coeffs", "1", "--initial", token],
+    "--poly": lambda token, tmp: ["density", f"--poly={token},1"],
+    "spec-string": lambda token, tmp: ["gen", *_spec(tmp, f'"{token}"')],
+    "spec-number": lambda token, tmp: ["gen", *_spec(tmp, token)],
+    "--horizon": lambda token, tmp: ["check", "--coeffs", "1", "--initial", "1", "--horizon", token],
+    "--prime-bound": lambda token, tmp: ["classify", "--coeffs", "1", "--initial", "1", "--prime-bound", token],
+    "--t": lambda token, tmp: ["power", "--coeffs", "1", "--initial", "1", "--t", token],
+    "--delta": lambda token, tmp: ["family", "--delta", token],
+    "b-file": lambda token, tmp: ["bfile-check", _file(tmp, "b.txt", f"1 3\n2 {token}\n")],
+}
+
+
+@pytest.mark.parametrize("route", INTEGER_ROUTES)
+def test_over_limit_integer_is_a_short_guard_stop_on_every_route(run_cli, tmp_path, monkeypatch, route):
+    monkeypatch.setattr(cli, "_digit_limit", lambda: 4300)
+    argv = INTEGER_ROUTES[route]("7" * 5000, tmp_path)
+    code, out = run_cli(argv)
+    assert code == 2, out[:300]
+    doc = json.loads(out)
+    assert doc["guard"] is True and doc["command"] == argv[0]
+    assert "a 5000-digit value, over the 4300-digit limit for decimal input" in doc["error"]
+    assert len(out.encode()) < 200
+    validate(out)
+
+
+@pytest.mark.parametrize("token", ["7" * 5000 + ".5", "1.5", "x"], ids=["long", "fraction", "letter"])
+@pytest.mark.parametrize("route", INTEGER_ROUTES)
+def test_non_integer_is_an_input_error_on_every_route(run_cli, tmp_path, monkeypatch, route, token):
+    monkeypatch.setattr(cli, "_digit_limit", lambda: 4300)
+    code, out = run_cli(INTEGER_ROUTES[route](token, tmp_path))
+    assert code == 1
+    assert "guard" not in json.loads(out)
+    validate(out)
+
+
+def test_int_flag_error_quotes_a_bounded_prefix(run_cli):
+    argv = ["check", "--coeffs", "1", "--initial", "1", "--horizon"]
+    assert json.loads(run_cli([*argv, "abc"])[1])["error"] == "argument --horizon: invalid int value: 'abc'"
+    code, out = run_cli([*argv, "7" * 5000 + "x"])
+    assert code == 1
+    assert json.loads(out)["error"] == "argument --horizon: invalid int value: '" + "7" * 40 + "'..."
 
 
 # A valid invocation of every subcommand; tests append the flags they try.

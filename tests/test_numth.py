@@ -103,6 +103,11 @@ PSI_12 = 399165290221 * 798330580441
 PSI_13 = 1287836182261 * 2575672364521
 
 
+def test_guard_is_not_an_input_error():
+    # a handler of malformed input (except ValueError) must never swallow a size guard
+    assert not issubclass(UnsupportedSizeError, ValueError)
+
+
 def test_is_prime_refutes_psi_12():
     assert PSI_12 == 318665857834031151167461
     assert not is_prime(PSI_12)

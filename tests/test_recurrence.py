@@ -8,12 +8,12 @@ import pytest
 
 from doldseq import recurrence
 from doldseq.factorint import factor_over_Z, irreducibility_witness
+from doldseq.numth import UnsupportedSizeError
 from doldseq.polyring import mul, normalize, power_sums
 from doldseq.dold import mobius_sums
 from doldseq.recurrence import (
     analyze,
     SequenceView,
-    TermSizeExceeded,
     char_poly,
     convenient_check,
     exact_terms,
@@ -61,7 +61,7 @@ def test_term_guard(monkeypatch):
     monkeypatch.setattr(recurrence, "MAX_TERM_BITS", 8 * Decimal(1).__sizeof__())
     view = SequenceView(make_recurrence([10], [1]))
     assert view.term(76) == 10**75
-    with pytest.raises(TermSizeExceeded, match="term 77 needs over "):
+    with pytest.raises(UnsupportedSizeError, match="term 77 needs over "):
         view.term(100)
     with pytest.raises(ValueError):
         view.term(0)

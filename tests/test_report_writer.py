@@ -23,9 +23,8 @@ def reference(obj):
             return str(obj)
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            raise UnsupportedSizeError(
-                f"report holds a {obj.bit_length()}-bit integer, over the {limit}-digit limit for decimal output"
-            ) from None
+            message = f"report holds an integer over the {limit}-digit limit for decimal output"
+            raise UnsupportedSizeError(message) from None
     if isinstance(obj, Decimal):
         return str(int(obj))
     if isinstance(obj, dict):

@@ -48,15 +48,17 @@ def _parse_value(token: str, limit: int) -> Decimal:
 
     Plain ASCII digits, the bulk of any b-file, go straight to Decimal in
     linear time (bytes.isdigit tests them several times faster than
-    str.isdigit); more than `limit` of them raise UnsupportedSizeError, the
-    guard stop, as such an integer could not be written back.  Anything
-    else (underscores, non-ASCII digits) goes through int() itself, so the
-    same tokens are accepted and rejected as by int().
+    str.isdigit), and anything else through int() itself.  A token of
+    int()'s digits, Unicode decimal digits with single underscores between
+    them, of more than `limit` digits raises UnsupportedSizeError, the
+    guard stop, as such an integer could not be written back.
     """
     digits = token[1:] if token[:1] in "+-" else token
-    if digits.isascii() and digits.encode().isdigit():
-        if limit and len(digits) > limit:
-            raise UnsupportedSizeError(f"a {len(digits)}-digit value, over the {limit}-digit limit for decimal input")
+    plain = digits.isascii() and digits.encode().isdigit()
+    count = len(digits) - digits.count("_") if plain or all(map(str.isdecimal, digits.split("_"))) else 0
+    if limit and count > limit:
+        raise UnsupportedSizeError(f"a {count}-digit value, over the {limit}-digit limit for decimal input")
+    if plain:
         return Decimal(token) or _ZERO  # "-0" is zero
     return Decimal(int(token))
 
@@ -295,7 +297,10 @@ def _spec_ints(doc: object, key: str) -> list[int]:
     values = doc[key]
     if not isinstance(values, list) or not all(type(c) is int or type(c) is str for c in values):
         raise TypeError(f"{key!r} must be a list of integers or integer strings")
-    return [c if type(c) is int else _parse_int(c) for c in values]
+    try:
+        return [c if type(c) is int else _parse_int(member := c) for c in values]  # member names the string read last
+    except ValueError:
+        raise ValueError(f"{key!r} holds a non-integer string {_excerpt(member)}") from None
 
 
 def _load_spec(args) -> recurrence.RecurrenceSpec:

@@ -17,7 +17,7 @@ import operator
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
-from .factorint import Factorization, _factor_squarefree_over_Z
+from .factorint import Factorization, factor_over_Z
 from .numth import divisors, factorize, mobius, p_valuation, primes_up_to, radical_int
 from .polyring import discriminant
 from .recurrence import (
@@ -291,10 +291,10 @@ def _splitting_degree_multiple(factorization: Factorization) -> int:
     and likewise for the other two pairs, so the product of its squared
     root differences is disc(g) != 0.  It is therefore squarefree, and
     being monic its rational roots are integers: they are its linear
-    factors over Z, which ``_factor_squarefree_over_Z`` finds from disc(g)
-    at any coefficient size.  The splitting field of f is the compositum
-    of those of its factors, so its group embeds in the product of theirs
-    by restriction, and its order divides the product.
+    factors over Z, which ``factor_over_Z`` finds from disc(g) at any
+    coefficient size.  The splitting field of f is the compositum of
+    those of its factors, so its group embeds in the product of theirs by
+    restriction, and its order divides the product.
     """
     m = 1
     for g, _ in factorization.factors:
@@ -306,7 +306,7 @@ def _splitting_degree_multiple(factorization: Factorization) -> int:
         elif k == 4:
             d, c, b, a, _ = g
             resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-            rational = sum(len(h) == 2 for h in _factor_squarefree_over_Z(resolvent, disc))
+            rational = sum(len(h) == 2 for h, _ in factor_over_Z(resolvent, disc).factors)
             m *= {3: 4, 1: 8}.get(rational, 24 // halve)
         else:
             m *= math.factorial(k) // halve
@@ -331,10 +331,10 @@ def power_fail_bound(analysis: Analysis, t: int) -> PowerBound | None:
     disc = analysis.disc
     if disc == 0:
         raise ValueError("power-subsequence bound requires a nonzero discriminant")
-    radical = radical_int(abs(disc))
     m = _splitting_degree_multiple(analysis.factorization)
     if t % m:
         return None
+    radical = radical_int(abs(disc))
     return PowerBound(
         bound=abs(analysis.spec.coefficients[d - 1] * disc) * radical,
         radical=radical,

@@ -7,10 +7,10 @@ bound, then exhaustive subset recombination.  An input with a zero
 discriminant takes the same route through its squarefree part, and the
 multiplicities are read by exact division afterwards.  The integer
 roots of a monic polynomial are its linear factors over Z, so this route
-finds them too, at any coefficient size; ``dold`` reads the rational
-roots of a quartic's resolvent cubic this way.  Everything is
-deterministic: the randomized equal-degree splitting is seeded from the
-input.
+finds them too, at any coefficient size: ``factor_over_Z`` caps only the
+degree, and ``dold`` reads the rational roots of a quartic's resolvent
+cubic from it.  Everything is deterministic: the randomized equal-degree
+splitting is seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
@@ -57,9 +57,8 @@ from .polyring import (
     zm_reduce,
 )
 
-# factor_over_Z's input envelope; larger inputs raise UnsupportedSizeError
+# factor_over_Z's degree cap, which bounds its subset recombination; past it UnsupportedSizeError
 MAX_DEGREE = 12
-MAX_COEFF = 10**6
 # Largest prime search bound of irreducibility_witness and root_density;
 # both grow the shared prime table to the bound before they test the first prime.
 MAX_PRIME_BOUND = 10**5
@@ -148,18 +147,16 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
 
 
 def _gf_irreducible(f: list[int], p: int) -> bool:
-    """Whether f, reduced, monic and squarefree over F_p, is irreducible there.
+    """Whether f, reduced and monic over F_p, is irreducible there (Ben-Or's test).
 
-    The witness search calls it on a monic integer f at a prime p that
-    does not divide disc(f).  Proof that the early exit is exact:
+    The witness search calls it on a monic integer f reduced mod p, which
+    keeps its degree d.  Proof that the early exit is exact:
 
-    1. f is monic and p does not divide disc(f), so f mod p keeps its
-       degree d and has a nonzero discriminant: it is squarefree.
-    2. x^(p^i) - x is the product of the monic irreducibles over F_p whose
+    1. x^(p^i) - x is the product of the monic irreducibles over F_p whose
        degree divides i, so gcd(f, x^(p^i) - x) is nontrivial iff f has an
        irreducible factor of degree dividing i.
-    3. A reducible f of degree d has an irreducible factor of degree
-       <= d/2, which divides its own i <= d/2.
+    2. A reducible f of degree d, squarefree or not, has an irreducible
+       factor of degree <= d/2, which divides its own i <= d/2.
 
     So f is irreducible iff the gcd is 1 for every i <= d/2, and the first
     nontrivial gcd already proves it reducible.  Unlike ``factor_mod_p``
@@ -363,17 +360,14 @@ def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
 def factor_over_Z(f: IntPoly, disc: int | None = None) -> Factorization:
     """Factor a monic integer polynomial into monic irreducibles over Z.
 
-    Supported envelope: degree <= 12, coefficients up to 1e6 in magnitude;
-    outside it an UnsupportedSizeError is raised, never a wrong answer.
-    A caller that already holds the discriminant of f passes it as disc.
+    Any coefficient size; a degree above MAX_DEGREE raises UnsupportedSizeError,
+    never a wrong answer.  A caller that already holds disc(f) passes it as disc.
     """
     f = normalize(f)
     if not is_monic(f):
         raise ValueError("factor_over_Z requires a monic polynomial")
     if degree(f) > MAX_DEGREE:
         raise UnsupportedSizeError(f"degree {degree(f)} exceeds supported envelope {MAX_DEGREE}")
-    if any(abs(c) > MAX_COEFF for c in f):
-        raise UnsupportedSizeError(f"coefficient magnitude exceeds supported envelope {MAX_COEFF}")
     if degree(f) == 0:
         return Factorization(())
     # a nonzero discriminant means f is already squarefree, so every multiplicity is 1
@@ -406,29 +400,25 @@ def _check_prime_bound(bound: int) -> None:
         raise UnsupportedSizeError(f"prime bound {bound} exceeds supported envelope {MAX_PRIME_BOUND}")
 
 
-def irreducibility_witness(f: IntPoly, search_bound: int, disc: int | None = None) -> int | None:
-    """Smallest prime p <= bound with monic f squarefree and irreducible mod p.
+def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
+    """Smallest prime p <= bound with monic f irreducible mod p.
 
     Such a p certifies that f stays irreducible modulo infinitely many
     primes (the mod-p factor degrees are the Frobenius cycle type, and a
     full-length cycle occurs with positive density).  None means no
-    witness up to the bound: inconclusive.  A caller that already holds
-    the discriminant of f passes it as disc.  Each prime not dividing disc
-    is tested by ``_gf_irreducible``.  A bound above MAX_PRIME_BOUND
-    raises UnsupportedSizeError.
+    witness up to the bound: inconclusive.  Each prime is tested by
+    ``_gf_irreducible``, with no discriminant: an f irreducible mod p is
+    squarefree there, and a non-squarefree f has no witness.  A bound
+    above MAX_PRIME_BOUND raises UnsupportedSizeError.
     """
     f = normalize(f)
     if not is_monic(f) or degree(f) < 1:
         raise ValueError("irreducibility_witness requires a monic polynomial of positive degree")
-    if disc is None:
-        disc = discriminant(f)
-    if disc == 0:
-        raise ValueError("irreducibility_witness requires a squarefree polynomial")
     if search_bound < 2:
         raise ValueError("search bound must be at least 2")
     _check_prime_bound(search_bound)
     for p in primes_up_to(search_bound):
-        if disc % p and _gf_irreducible(zm_reduce(f, p), p):
+        if _gf_irreducible(zm_reduce(f, p), p):
             return p
     return None
 

@@ -24,10 +24,11 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Inv
 from fractions import Fraction
 from typing import NamedTuple
 
-from .factorint import Factorization, _check_prime_bound, factor_over_Z, irreducibility_witness
+from .factorint import MAX_DEGREE, Factorization, _check_prime_bound, factor_over_Z, irreducibility_witness
 from .numth import UnsupportedSizeError
 from .polyring import IntPoly, degree, discriminant, normalize, power_sums
 
+MAX_COEFF = 10**6  # analyze refuses a larger |r_i| before any work
 # Storage budgets of a view, each term charged 8 * v.__sizeof__() bits: for one term, and for its whole cache.
 MAX_TERM_BITS = 2**20
 MAX_CACHE_BITS = 2**30
@@ -89,7 +90,12 @@ class Analysis(NamedTuple):
 
 
 def analyze(spec: RecurrenceSpec) -> Analysis:
-    """Everything the structural steps need, computed once per request."""
+    """Everything the structural steps need, computed once per request, after the envelope is checked."""
+    # the O(d^3) discriminant runs before factor_over_Z could refuse the degree
+    if spec.order > MAX_DEGREE:
+        raise UnsupportedSizeError(f"degree {spec.order} exceeds supported envelope {MAX_DEGREE}")
+    if any(abs(c) > MAX_COEFF for c in spec.coefficients):
+        raise UnsupportedSizeError(f"coefficient magnitude exceeds supported envelope {MAX_COEFF}")
     cpoly = char_poly(spec)
     disc = discriminant(cpoly)
     return Analysis(spec, cpoly, disc, factor_over_Z(cpoly, disc=disc))
@@ -257,8 +263,7 @@ def convenient_check(analysis: Analysis, prime_bound: int):
     _check_prime_bound(prime_bound)
     if analysis.disc == 0:
         return ("not-convenient", None)
-    irreducible = analysis.factorization.is_irreducible()
-    witness = irreducibility_witness(analysis.cpoly, prime_bound, analysis.disc) if irreducible else None
+    witness = irreducibility_witness(analysis.cpoly, prime_bound) if analysis.factorization.is_irreducible() else None
     if witness is None:
         return ("no-witness", prime_bound)
     return ("certified", witness)

@@ -359,6 +359,17 @@ def test_guard_in_the_power_bound_is_not_an_input_note(run_cli):
     validate(out)
 
 
+@pytest.mark.parametrize("t", ["5", "7"])
+def test_power_offers_no_bound_without_factoring_the_discriminant(run_cli, t):
+    # t is not a multiple of 6, the splitting-degree multiple, so the radical of the discriminant is never needed
+    code, out = run_cli(["power", "--t", t, "--coeffs=-500953,242858,141331", "--initial", "1,0,0", "--horizon", "2"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert doc["bound"] is None
+    assert doc["bound_note"] == "exponent is not a multiple of the proven splitting-degree multiple"
+    validate(out)
+
+
 def _file(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -388,14 +399,17 @@ INTEGER_ROUTES = {
 @pytest.mark.parametrize("route", INTEGER_ROUTES)
 def test_over_limit_integer_is_a_short_guard_stop_on_every_route(run_cli, tmp_path, monkeypatch, route):
     monkeypatch.setattr(cli, "_digit_limit", lambda: 4300)
-    argv = INTEGER_ROUTES[route]("7" * 5000, tmp_path)
-    code, out = run_cli(argv)
-    assert code == 2, out[:300]
-    doc = json.loads(out)
-    assert doc["guard"] is True and doc["command"] == argv[0]
-    assert "a 5000-digit value, over the 4300-digit limit for decimal input" in doc["error"]
-    assert len(out.encode()) < 200
-    validate(out)
+    # int()'s spellings of one 5000-digit value; a JSON number has only the plain one
+    spellings = ["7" * 5000, "_".join("7" * 5000), "\u0667" * 5000]
+    for token in spellings[: 1 if route == "spec-number" else None]:
+        argv = INTEGER_ROUTES[route](token, tmp_path)
+        code, out = run_cli(argv)
+        assert code == 2, out[:300]
+        doc = json.loads(out)
+        assert doc["guard"] is True and doc["command"] == argv[0]
+        assert "a 5000-digit value, over the 4300-digit limit for decimal input" in doc["error"]
+        assert len(out.encode()) < 200
+        validate(out)
 
 
 @pytest.mark.parametrize("token", ["7" * 5000 + ".5", "1.5", "x"], ids=["long", "fraction", "letter"])
@@ -405,6 +419,8 @@ def test_non_integer_is_an_input_error_on_every_route(run_cli, tmp_path, monkeyp
     code, out = run_cli(INTEGER_ROUTES[route](token, tmp_path))
     assert code == 1
     assert "guard" not in json.loads(out)
+    # the token is quoted at most 40 characters long
+    assert len(out.encode()) < 200, out[:300]
     validate(out)
 
 
@@ -603,20 +619,24 @@ ANALYSIS_COMMANDS = [["fail", "--horizon", "20"], ["classify"], ["witness"], ["p
 @pytest.mark.parametrize("spec", ANALYSIS_SPECS, ids=["reducible", "irreducible"])
 @pytest.mark.parametrize("command", ANALYSIS_COMMANDS, ids=[c[0] for c in ANALYSIS_COMMANDS])
 def test_one_analysis_per_request(run_cli, monkeypatch, command, spec):
-    calls = collections.Counter()
+    # each characteristic polynomial made, and each polynomial factored
+    seen = collections.defaultdict(list)
     for owner, name in ((recurrence, "char_poly"), (factorint, "factor_over_Z")):
         original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            seen[_name].append(result if _name == "char_poly" else args[0])
+            return result
 
         for module in (doldseq, recurrence, factorint, dold, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     code, _ = run_cli([*command, *spec])
     assert code == 0
-    assert calls == {"char_poly": 1, "factor_over_Z": 1}
+    (cpoly,) = seen["char_poly"]
+    # power on x^4 - 10x^2 + 1 also factors the quartic's resolvent cubic
+    assert seen["factor_over_Z"].count(cpoly) == 1
 
 
 # x^3 - 2x^2 - 2x - 2 is irreducible, with witness prime 17

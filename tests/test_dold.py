@@ -18,10 +18,11 @@ from doldseq.dold import (
     scan,
     table_bounds,
 )
-from doldseq.factorint import MAX_COEFF, Factorization, factor_over_Z
+from doldseq.factorint import Factorization, factor_over_Z
 from doldseq.numth import divisors, factorize, mobius, p_valuation, primes_up_to
 from doldseq.polyring import discriminant, mul
 from doldseq.recurrence import (
+    MAX_COEFF,
     SequenceView,
     analyze,
     exact_terms,
@@ -293,7 +294,7 @@ def test_splitting_degree_multiple_of_known_groups(f, group, multiple):
 def test_splitting_degree_multiple_past_the_resolvent_envelope():
     # x^4 - 300001 (D4, order 8) and sqrt(2) + sqrt(602) (V4, order 4): the
     # resolvents' lowest nonzero coefficients, 1200004 and -1739520000, are
-    # past MAX_COEFF, which bounds only factor_over_Z's input
+    # past MAX_COEFF, analyze's envelope for recurrence coefficients, not the resolvent's
     for f, multiple in (([-300001, 0, 0, 0, 1], 8), ([360000, 0, -1208, 0, 1], 4)):
         d, c, b, a, _ = f
         low = next(v for v in [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b] if v)

@@ -12,7 +12,6 @@ from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
     _BATCH_COEFF_BITS,
     _BATCH_PRIME_LIMIT,
-    MAX_COEFF,
     Factorization,
     _gf_distinct_degree,
     _gf_irreducible,
@@ -41,6 +40,7 @@ from doldseq.polyring import (
     zm_pow_mod,
     zm_reduce,
 )
+from doldseq.recurrence import MAX_COEFF
 
 
 def poly_from_roots(roots):
@@ -271,10 +271,30 @@ def test_zero_discriminant_factors_through_the_squarefree_part():
 def test_factor_over_Z_envelope():
     with pytest.raises(UnsupportedSizeError):
         factor_over_Z([0] * 13 + [1])
-    with pytest.raises(UnsupportedSizeError):
-        factor_over_Z([10**7, 1])
     with pytest.raises(ValueError):
         factor_over_Z([1, 2])  # not monic
+    # the degree is the one cap: recurrence.analyze refuses long coefficients before any work
+    assert factor_over_Z([10**7, 1]).factors == (((10**7, 1), 1),)
+
+
+@pytest.mark.parametrize("bits", [64, 200])
+def test_factor_over_Z_takes_any_coefficient_size(bits):
+    # seeded products of random monic factors, some squared, of total degree <= 12
+    rng = random.Random(64200 + bits)
+    for _ in range(12):
+        f, chosen = [1], []
+        while True:
+            g = [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(rng.randint(1, 4))] + [1]
+            e = 2 if rng.random() < 0.15 else 1
+            if degree(f) + e * degree(g) > 12:
+                break
+            chosen.append((tuple(g), e))
+            f = mul(f, mul(g, g) if e == 2 else g)
+        result = factor_over_Z(f)
+        assert result.expand() == f
+        # a witness prime proves each factor irreducible, so the factorization is the unique one
+        assert all(irreducibility_witness(list(g), 1000) for g, _ in result.factors), f
+        assert sorted(result.factors) == sorted(chosen)
 
 
 def test_kronecker_oracle_sample():
@@ -355,8 +375,8 @@ def test_irreducibility_witness_reverified():
 
 
 def test_irreducibility_witness_rejects_nonsquarefree():
-    with pytest.raises(ValueError):
-        irreducibility_witness([4, -4, 1], 100)
+    # (x - 2)^2 is reducible mod every prime, so it has no witness
+    assert irreducibility_witness([4, -4, 1], 100) is None
 
 
 def gf_degrees(f, p):
@@ -399,8 +419,7 @@ def test_root_density_linear_and_bounds():
 
 
 def test_squarefree_fast_path_agrees_with_yun():
-    # a nonzero discriminant stands in for gcd(f, f') = 1 in factor_over_Z,
-    # irreducibility_witness and root_density
+    # a nonzero discriminant stands in for gcd(f, f') = 1 in factor_over_Z and root_density
     from doldseq.polyring import derivative
     from test_polyring import gcd_over_Q
 
@@ -415,18 +434,14 @@ def test_squarefree_fast_path_agrees_with_yun():
 
 
 def test_given_discriminant_agrees_with_computed():
-    # analyze() and convenient_check() hand over the discriminant they hold;
-    # a caller that omits it gets the same answer
+    # analyze() hands over the discriminant it holds; a caller that omits it gets the same answer
     rng = random.Random(41)
     for _ in range(60):
         f = [1]
         for _ in range(rng.randrange(1, 4)):
             g = [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 3))] + [1]
             f = mul(f, mul(g, g) if rng.random() < 0.3 else g)
-        disc = discriminant(f)
-        assert factor_over_Z(f, disc=disc) == factor_over_Z(f)
-        if disc:
-            assert irreducibility_witness(f, 200, disc) == irreducibility_witness(f, 200)
+        assert factor_over_Z(f, disc=discriminant(f)) == factor_over_Z(f)
 
 
 # -- factor degrees without equal-degree splitting, against factor_mod_p ----
@@ -518,11 +533,10 @@ WITNESS_PRIMES = primes_up_to(300)
 
 @pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
 def test_gf_irreducible_matches_degree_pattern(index):
+    # at every prime, p | disc(f) and a zero discriminant included: Ben-Or's test needs no squarefree f
     f = DEGREE_POOL[index]
-    disc = discriminant(f)
     for p in WITNESS_PRIMES:
-        if disc % p:
-            assert _gf_irreducible(zm_reduce(f, p), p) == (gf_degrees(f, p) == (degree(f),)), (f, p)
+        assert _gf_irreducible(zm_reduce(f, p), p) == (gf_degrees(f, p) == (degree(f),)), (f, p)
 
 
 def test_gf_irreducible_edge_degrees():
@@ -544,7 +558,7 @@ def test_biquadratic_has_no_witness(f):
 def test_irreducibility_witness_rejects_non_monic_and_constant():
     # 2x^2 + x + 3 drops to the irreducible x + 1 mod 2, so only a monic f keeps the proof
     with pytest.raises(ValueError, match="monic"):
-        irreducibility_witness([3, 1, 2], 100, disc=-23)
+        irreducibility_witness([3, 1, 2], 100)
     with pytest.raises(ValueError, match="positive degree"):
         irreducibility_witness([1], 100)
 
@@ -583,7 +597,7 @@ def test_witness_primes_satisfy_stickelberger():
     for f in DEGREE_POOL:
         disc = discriminant(f)
         if disc and degree(f) > 1:
-            p = irreducibility_witness(f, 300, disc)
+            p = irreducibility_witness(f, 300)
             if p is not None:
                 assert stickelberger_holds(f, disc, p, 1), (f, p)
                 parities.append(degree(f) % 2)

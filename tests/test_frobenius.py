@@ -170,9 +170,10 @@ def test_gf_irreducible_and_degrees_match_factor_mod_p(index):
     for p in PRIMES:
         degrees = gf_degrees(f, p)
         assert degrees == referee_degrees(f, p), (f, p)
-        if disc % p:
-            # the witness search's precondition: f stays squarefree of full degree mod p
-            assert _gf_irreducible(zm_reduce(f, p), p) == referee_irreducible(f, p), (f, p)
+        # the witness search tests every prime, p | disc(f) included: an f irreducible mod p is squarefree there
+        irreducible = referee_irreducible(f, p)
+        assert _gf_irreducible(zm_reduce(f, p), p) == irreducible, (f, p)
+        assert disc % p or not irreducible, (f, p)
 
 
 def test_pool_reaches_every_case():
@@ -218,3 +219,14 @@ def test_witness_is_the_smallest_irreducible_prime():
         found.add(witness)
     # the pool has witnesses at p = 2 and p = 3, later ones, and polynomials without any
     assert {2, 3, None} <= found and max(w for w in found if w) > 3
+
+
+def test_non_squarefree_has_no_witness():
+    # g^2 * h stays a product with a repeated factor mod every prime, ramified or not
+    rng = random.Random(2810)
+    for _ in range(40):
+        g = random_monic(rng, rng.randint(1, 3))
+        f = normalize(mul(mul(g, g), random_monic(rng, rng.randint(0, 6))))
+        assert discriminant(f) == 0
+        assert irreducibility_witness(f, 300) is None, f
+        assert not any(referee_irreducible(f, p) for p in PRIMES), f

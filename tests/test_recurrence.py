@@ -50,6 +50,23 @@ def test_char_poly_examples(example_seq, order4_seq):
     assert char_poly(make_recurrence([8, -7], [6, 41])) == [7, -8, 1]
 
 
+def test_analyze_refuses_the_envelope_before_the_discriminant(monkeypatch):
+    def discriminant(f):
+        raise AssertionError("discriminant ran for a spec outside the envelope")
+
+    monkeypatch.setattr(recurrence, "discriminant", discriminant)
+    with pytest.raises(UnsupportedSizeError, match="^degree 13 exceeds supported envelope 12$"):
+        analyze(make_recurrence([1] * 13, [1] * 13))
+    with pytest.raises(UnsupportedSizeError, match="^coefficient magnitude exceeds supported envelope 1000000$"):
+        analyze(make_recurrence([1, -(10**6 + 1)], [1, 1]))
+    # the degree is refused first, as factor_over_Z refused it
+    with pytest.raises(UnsupportedSizeError, match="^degree 13 "):
+        analyze(make_recurrence([10**7] * 13, [1] * 13))
+    # at the envelope's edges the discriminant runs
+    with pytest.raises(AssertionError):
+        analyze(make_recurrence([10**6] * 12, [1] * 12))
+
+
 def test_term_examples(example_seq, fibonacci, order4_seq):
     assert SequenceView(example_seq).term(3) == 306
     assert SequenceView(fibonacci).term(10) == 55

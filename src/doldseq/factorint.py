@@ -14,14 +14,15 @@ splitting is seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
 themselves, so only that path calls ``factor_mod_p``.  The witness
-search needs just whether f is irreducible mod p, which
-``_gf_irreducible`` answers by distinct-degree steps that stop at the
-first factor, and ``root_density`` needs just whether f has a root mod
-p: one product of values of f for the small primes, gcd(f, x^p - x) for
-the others.  On these paths x^p mod (f, p) is one packed power per
-prime, and each later x^(p^i) is one product with the Frobenius table of
-f, both from ``polyring.zm_frobenius_powers``.  A gcd that is only
-tested for being 1 is ``polyring.zm_coprime``, which makes nothing monic.
+search and ``root_density`` ask one question, whether f has a factor of
+degree <= k mod p (k = deg(f) // 2, and k = 1), which
+``_gf_small_factor`` answers by distinct-degree steps that stop at the
+first factor; ``root_density`` tests its small primes by one product of
+values of f instead, and reads ramification from f reduced modulo the
+product of the primes it counts.  On these paths x^p mod (f, p) is one
+packed power per prime, and each later x^(p^i) is one product with the
+Frobenius table of f, both from ``polyring.zm_frobenius_powers``.  A gcd
+that is only tested for being 1 is ``polyring.zm_coprime``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .polyring import (
     zm_reduce,
 )
 
-# factor_over_Z's degree cap, which bounds its subset recombination; past it UnsupportedSizeError
+# Degree cap of factor_over_Z, which bounds its subset recombination, and of
+# root_density, which bounds its discriminant; past it UnsupportedSizeError
 MAX_DEGREE = 12
 # Largest prime search bound of irreducibility_witness and root_density;
 # both grow the shared prime table to the bound before they test the first prime.
@@ -146,30 +148,28 @@ def _gf_distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _gf_irreducible(f: list[int], p: int) -> bool:
-    """Whether f, reduced and monic over F_p, is irreducible there (Ben-Or's test).
+def _gf_small_factor(f: list[int], p: int, k: int) -> bool:
+    """Whether f, reduced and monic over F_p, has an irreducible factor of degree <= k there.
 
-    The witness search calls it on a monic integer f reduced mod p, which
-    keeps its degree d.  Proof that the early exit is exact:
+    Ben-Or's steps i = 1..k, stopping at the first gcd(f, x^(p^i) - x) != 1:
 
     1. x^(p^i) - x is the product of the monic irreducibles over F_p whose
-       degree divides i, so gcd(f, x^(p^i) - x) is nontrivial iff f has an
-       irreducible factor of degree dividing i.
+       degree divides i, so step i finds exactly the factors of f whose
+       degree divides i, and a factor of degree e <= k shows up at step e.
     2. A reducible f of degree d, squarefree or not, has an irreducible
-       factor of degree <= d/2, which divides its own i <= d/2.
+       factor of degree <= d/2.
 
-    So f is irreducible iff the gcd is 1 for every i <= d/2, and the first
-    nontrivial gcd already proves it reducible.  Unlike ``factor_mod_p``
-    this needs no squarefree split and no further distinct-degree step.
-    Each gcd is only tested for being 1 (``zm_coprime``), and the powers
-    come from ``zm_frobenius_powers``, so a search that stops at the first
-    step builds no table rows.
+    So f of degree d is irreducible iff k = d // 2 answers False (the
+    witness search), and has a root iff k = 1 answers True
+    (``root_density``); neither needs a squarefree split.  The powers come
+    from ``zm_frobenius_powers``, which builds no table rows before step
+    2, and each gcd is only ``zm_coprime``'s yes or no.
     """
     x = [0, 1]
-    for _, h in zip(range((len(f) - 1) // 2), zm_frobenius_powers(f, p)):
+    for _, h in zip(range(k), zm_frobenius_powers(f, p)):
         if not zm_coprime(f, sub(h, x), p):
-            return False
-    return True
+            return True
+    return False
 
 
 def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -407,9 +407,9 @@ def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
     primes (the mod-p factor degrees are the Frobenius cycle type, and a
     full-length cycle occurs with positive density).  None means no
     witness up to the bound: inconclusive.  Each prime is tested by
-    ``_gf_irreducible``, with no discriminant: an f irreducible mod p is
-    squarefree there, and a non-squarefree f has no witness.  A bound
-    above MAX_PRIME_BOUND raises UnsupportedSizeError.
+    ``_gf_small_factor`` with k = deg(f) // 2, with no discriminant: an f
+    irreducible mod p is squarefree there, and a non-squarefree f has no
+    witness.  A bound above MAX_PRIME_BOUND raises UnsupportedSizeError.
     """
     f = normalize(f)
     if not is_monic(f) or degree(f) < 1:
@@ -417,16 +417,11 @@ def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
     if search_bound < 2:
         raise ValueError("search bound must be at least 2")
     _check_prime_bound(search_bound)
+    half = degree(f) // 2
     for p in primes_up_to(search_bound):
-        if _gf_irreducible(zm_reduce(f, p), p):
+        if not _gf_small_factor(zm_reduce(f, p), p, half):
             return p
     return None
-
-
-def _has_root_mod_p(f: list[int], p: int) -> bool:
-    # f has a root in F_p iff gcd(f, x^p - x) is nontrivial
-    x = [0, 1]
-    return not zm_coprime(f, sub(zm_pow_mod(x, p, f, p), x), p)
 
 
 def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:
@@ -444,7 +439,7 @@ def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:
     as M.  With log M about P, that is about P * log f(P) * P bit
     operations, roughly deg(f) * bound^2 * log(bound) for short
     coefficients, done in C, against one Frobenius power per prime for
-    ``_has_root_mod_p``: about pi(bound) * deg(f)^2 * log(bound)
+    ``_gf_small_factor``: about pi(bound) * deg(f)^2 * log(bound)
     interpreted steps.
     """
     top = primes[-1]
@@ -467,26 +462,50 @@ def root_density(f: IntPoly, prime_bound: int) -> Fraction:
     """Fraction of unramified primes p <= bound for which f has a root mod p.
 
     The primes up to _BATCH_PRIME_LIMIT are tested together by one
-    product (``_batched_root_hits``), and each prime above it by a
-    Frobenius gcd (``_has_root_mod_p``): the product's cost grows with the
-    square of the largest prime it covers, the gcd's only with its log.
-    A coefficient longer than _BATCH_COEFF_BITS sends every prime to the gcd.
-    The bound runs from 100 to MAX_PRIME_BOUND; above it UnsupportedSizeError
-    is raised.  A ValueError names the bound when every prime up to it
+    product (``_batched_root_hits``), and each prime above it by step 1 of
+    ``_gf_small_factor``, gcd(f, x^p - x) = 1: the product's cost grows
+    with the square of the largest prime it covers, the gcd's only with
+    its log.  A coefficient longer than _BATCH_COEFF_BITS sends every
+    prime to the gcd.
+
+    Ramification is read modulo M, the product of the primes <= bound.
+    disc is an integer polynomial in the coefficients, so for g = f
+    (mod M) a prime p | M divides disc(g) iff it divides disc(f), and g
+    has a root mod p iff f has.  When a coefficient has prime_bound bits
+    or more, g is f in the symmetric range mod M and the discriminant and
+    root tests read g; a shorter coefficient is its own residue, since
+    M > 2^x for x >= 41 (theta(x) > x(1 - 1/ln x), Rosser & Schoenfeld
+    1962) and the bound is at least 100.  Only when every prime divides
+    disc(g), as when disc(f) = 0, is disc(f) itself computed.
+
+    The bound runs from 100 to MAX_PRIME_BOUND, and the degree of f up to
+    MAX_DEGREE; past either UnsupportedSizeError is raised before any
+    work.  A ValueError names the bound when every prime up to it
     divides the discriminant, so no prime is counted.
     """
     if prime_bound < 100:
         raise ValueError("prime bound must be at least 100")
     _check_prime_bound(prime_bound)
     f = normalize(f)
-    # ramification is read from the squarefree part, which is f itself when disc(f) != 0
-    disc = discriminant(f) or discriminant(squarefree_part(f))
-    unramified = [p for p in primes_up_to(prime_bound) if disc % p]
+    if degree(f) > MAX_DEGREE:
+        raise UnsupportedSizeError(f"degree {degree(f)} exceeds supported envelope {MAX_DEGREE}")
+    primes = primes_up_to(prime_bound)
+    g, unramified = f, []
+    if max(map(abs, f), default=0).bit_length() >= prime_bound:
+        modulus = math.prod(primes)
+        # the leading coefficient stays as it is, so discriminant() still refuses a non-monic f
+        g = [_symmetric(c, modulus) for c in f[:-1]] + f[-1:]
+        disc = discriminant(g)
+        unramified = [p for p in primes if disc % p]
+    if not unramified:
+        # ramification is read from the squarefree part, which is f itself when disc(f) != 0
+        disc = discriminant(f) or discriminant(squarefree_part(f))
+        unramified = [p for p in primes if disc % p]
     if not unramified:
         raise ValueError(f"every prime <= {prime_bound} divides the discriminant; no unramified prime to count")
     cut = 0
-    if max(abs(c) for c in f).bit_length() <= _BATCH_COEFF_BITS:
+    if max(abs(c) for c in g).bit_length() <= _BATCH_COEFF_BITS:
         cut = bisect.bisect_right(unramified, _BATCH_PRIME_LIMIT)
-    hits = _batched_root_hits(f, unramified[:cut]) if cut else 0
-    hits += sum(_has_root_mod_p(zm_reduce(f, p), p) for p in unramified[cut:])
+    hits = _batched_root_hits(g, unramified[:cut]) if cut else 0
+    hits += sum(_gf_small_factor(zm_reduce(g, p), p, 1) for p in unramified[cut:])
     return Fraction(hits, len(unramified))

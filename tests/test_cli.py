@@ -949,6 +949,17 @@ def test_density_with_no_unramified_prime_is_an_input_error(run_cli):
     assert json.loads(out)["density"] == {"numerator": "0", "denominator": "1"}
 
 
+def test_density_past_the_degree_envelope_is_a_guard_stop(run_cli):
+    # degree 13, one past factorint.MAX_DEGREE, and degree 300 stop before the discriminant
+    for degree in (factorint.MAX_DEGREE + 1, 300):
+        poly = ",".join(["1"] * degree + ["1"])
+        code, out = run_cli(["density", f"--poly={poly}", "--prime-bound", "1000"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["guard"] is True and doc["error"] == f"degree {degree} exceeds supported envelope 12"
+        validate(out)
+
+
 def test_bfile_check_powers_of_two(run_cli, tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("".join(f"{n} {2**n}\n" for n in range(1, 61)))

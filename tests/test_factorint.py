@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from doldseq import factorint
 from doldseq.dold import _splitting_degree_multiple
 from doldseq.factorint import (
     _BATCH_COEFF_BITS,
     _BATCH_PRIME_LIMIT,
+    MAX_DEGREE,
     Factorization,
     _gf_distinct_degree,
-    _gf_irreducible,
+    _gf_small_factor,
     _gf_squarefree_list,
-    _has_root_mod_p,
     factor_mod_p,
     factor_over_Z,
     hensel_lift,
@@ -526,9 +527,19 @@ def test_pool_reaches_every_case():
     assert any(referee_witness(f, 60) for f in DEGREE_POOL if degree(f) > 1 and discriminant(f))
 
 
-# -- the witness search's irreducibility test against the degree pattern -----
+# -- Ben-Or's small-factor test against the degree pattern --------------------
 
 WITNESS_PRIMES = primes_up_to(300)
+
+
+@pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
+def test_gf_small_factor_matches_least_factor_degree(index):
+    # every k from 0 to deg f, at every prime, p | disc(f) and a zero discriminant included
+    f = DEGREE_POOL[index]
+    for p in SMALL_PRIMES:
+        least = min(gf_degrees(f, p))
+        for k in range(degree(f) + 1):
+            assert _gf_small_factor(zm_reduce(f, p), p, k) == (least <= k), (f, p, k)
 
 
 @pytest.mark.parametrize("index", range(len(DEGREE_POOL)))
@@ -536,18 +547,22 @@ def test_gf_irreducible_matches_degree_pattern(index):
     # at every prime, p | disc(f) and a zero discriminant included: Ben-Or's test needs no squarefree f
     f = DEGREE_POOL[index]
     for p in WITNESS_PRIMES:
-        assert _gf_irreducible(zm_reduce(f, p), p) == (gf_degrees(f, p) == (degree(f),)), (f, p)
+        irreducible = not _gf_small_factor(zm_reduce(f, p), p, degree(f) // 2)
+        assert irreducible == (gf_degrees(f, p) == (degree(f),)), (f, p)
 
 
 def test_gf_irreducible_edge_degrees():
     for p in (2, 3, 5, 7):
-        assert _gf_irreducible([1, 1], p)
+        # x + 1 takes no step at k = 0, the witness search's k for degree 1, and has its root at step 1
+        assert not _gf_small_factor([1, 1], p, 0)
+        assert _gf_small_factor([1, 1], p, 1)
         # x^p - x - 1 (Artin-Schreier) is irreducible of degree p mod p, so all p // 2 steps run
         artin_schreier = zm_reduce([-1, -1] + [0] * (p - 2) + [1], p)
-        assert _gf_irreducible(artin_schreier, p)
+        assert not _gf_small_factor(artin_schreier, p, p // 2)
+        assert _gf_small_factor(artin_schreier, p, p)
         assert gf_degrees(artin_schreier, p) == (p,)
         # times x + 1 it is reducible, which the first step already finds
-        assert not _gf_irreducible(zm_mul(artin_schreier, [1, 1], p), p)
+        assert _gf_small_factor(zm_mul(artin_schreier, [1, 1], p), p, 1)
 
 
 @pytest.mark.parametrize("f", BIQUADRATICS)
@@ -643,6 +658,13 @@ def test_root_density_matches_root_search(f):
     assert root_density(f, 1000) == Fraction(hits, len(unramified))
 
 
+@pytest.mark.parametrize("f", density_pool())
+def test_gf_small_factor_at_k1_is_a_root_search(f):
+    for p in primes_up_to(100):  # the primes dividing disc(f) included
+        has_root = any(evaluate(f, a) % p == 0 for a in range(p))
+        assert _gf_small_factor(zm_reduce(f, p), p, 1) == has_root, (f, p)
+
+
 # -- the batched root test against the per-prime Frobenius gcd ---------------
 #
 # root_density tests the primes up to _BATCH_PRIME_LIMIT with one product and
@@ -670,7 +692,7 @@ def batched_density_pool():
 def test_batched_root_density_matches_per_prime_gcd(f):
     disc = discriminant(f) or discriminant(squarefree_part(f))
     unramified = [p for p in primes_up_to(max(DENSITY_BOUNDS)) if disc % p]
-    hit = {p for p in unramified if _has_root_mod_p(zm_reduce(f, p), p)}
+    hit = {p for p in unramified if _gf_small_factor(zm_reduce(f, p), p, 1)}
     for bound in DENSITY_BOUNDS:
         counted = [p for p in unramified if p <= bound]
         assert root_density(f, bound) == Fraction(len(hit.intersection(counted)), len(counted))
@@ -706,3 +728,78 @@ def test_root_density_refuses_a_bound_with_no_unramified_prime():
     with pytest.raises(ValueError, match="every prime <= 100 divides the discriminant"):
         root_density([-c, 0, 1], 100)
     assert root_density([-c, 0, 1], 101) == Fraction(legendre(c, 101) == 1, 1)
+
+
+# -- long coefficients: ramification read modulo the primes counted -----------
+#
+# root_density reduces a coefficient of prime_bound bits or more modulo M, the
+# product of the primes <= bound, before its discriminant; exact_density is the
+# route without that reduction, with every prime tested by the Frobenius gcd.
+
+LONG_BOUNDS = (100, 1000, 4093, 4099)
+
+
+def exact_density(f, bound):
+    disc = discriminant(f) or discriminant(squarefree_part(f))
+    unramified = [p for p in primes_up_to(bound) if disc % p]
+    if not unramified:
+        raise ValueError(f"every prime <= {bound} divides the discriminant")
+    return Fraction(sum(_gf_small_factor(zm_reduce(f, p), p, 1) for p in unramified), len(unramified))
+
+
+def long_coefficient(rng, bits):
+    return (rng.getrandbits(bits - 1) | 1 << (bits - 1)) * rng.choice((-1, 1))
+
+
+def long_density_pool(bound):
+    """A squarefree cubic with coefficients of bound and bound - 1 bits, and the square of a long quadratic."""
+    rng = random.Random(bound)
+    g = [long_coefficient(rng, bound), long_coefficient(rng, bound - 1), 1]
+    return [
+        [long_coefficient(rng, bound), long_coefficient(rng, bound - 1), 7, 1],
+        [long_coefficient(rng, bound - 1), -3, long_coefficient(rng, bound - 1), 1],
+        mul(g, g),
+    ]
+
+
+@pytest.mark.parametrize("bound", LONG_BOUNDS)
+def test_long_coefficient_density_matches_the_exact_discriminant(bound):
+    pool = long_density_pool(bound)
+    assert [max(abs(c) for c in f).bit_length() >= bound for f in pool] == [True, False, True]
+    assert discriminant(pool[0]) and discriminant(pool[1]) and not discriminant(pool[2])
+    for f in pool:
+        assert root_density(f, bound) == exact_density(f, bound), f
+    # x^2 - c with M | c: every counted prime divides the reduced discriminant, and the exact one
+    c = math.prod(primes_up_to(bound)) * long_coefficient(random.Random(-bound), bound)
+    for referee in (root_density, exact_density):
+        with pytest.raises(ValueError, match=f"every prime <= {bound} divides the discriminant"):
+            referee([-c, 0, 1], bound)
+
+
+def test_density_discriminant_sees_only_reduced_coefficients(monkeypatch):
+    r = random.Random(40)
+    f = [r.randrange(10**3999, 10**4000) * r.choice((-1, 1)) for _ in range(8)] + [1]
+    half = math.prod(primes_up_to(1000)) // 2
+    seen = []
+
+    def spy(g):
+        seen.append(max(abs(c) for c in g))
+        return discriminant(g)
+
+    monkeypatch.setattr(factorint, "discriminant", spy)
+    density = root_density(f, 1000)
+    assert seen and max(seen) <= half
+    monkeypatch.undo()
+    assert density == exact_density(f, 1000)
+
+
+def test_density_refuses_a_degree_past_the_envelope_before_the_discriminant(monkeypatch):
+    def no_discriminant(g):
+        raise AssertionError("discriminant ran")
+
+    monkeypatch.setattr(factorint, "discriminant", no_discriminant)
+    monkeypatch.setattr(factorint, "squarefree_part", no_discriminant)
+    r = random.Random(13)
+    f = [r.randint(-9, 9) or 1 for _ in range(MAX_DEGREE + 1)] + [1]
+    with pytest.raises(UnsupportedSizeError, match=f"^degree 13 exceeds supported envelope {MAX_DEGREE}$"):
+        root_density(f, 1000)

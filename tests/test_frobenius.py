@@ -15,7 +15,7 @@ import pytest
 
 from doldseq.factorint import (
     _gf_distinct_degree,
-    _gf_irreducible,
+    _gf_small_factor,
     factor_mod_p,
     irreducibility_witness,
 )
@@ -172,7 +172,7 @@ def test_gf_irreducible_and_degrees_match_factor_mod_p(index):
         assert degrees == referee_degrees(f, p), (f, p)
         # the witness search tests every prime, p | disc(f) included: an f irreducible mod p is squarefree there
         irreducible = referee_irreducible(f, p)
-        assert _gf_irreducible(zm_reduce(f, p), p) == irreducible, (f, p)
+        assert _gf_small_factor(zm_reduce(f, p), p, (len(f) - 1) // 2) != irreducible, (f, p)
         assert disc % p or not irreducible, (f, p)
 
 

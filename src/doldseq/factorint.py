@@ -13,7 +13,10 @@ cubic from it.  Everything is deterministic: the randomized equal-degree
 splitting is seeded from the input.
 
 Only the Hensel seeds of ``factor_over_Z`` need the mod-p factors
-themselves, so only that path calls ``factor_mod_p``.  The witness
+themselves.  It reads them from the distinct- and equal-degree splits
+directly, at a prime where f is squarefree, and lifts them with the tree
+lift under ``hensel_lift``; ``factor_mod_p`` and ``hensel_lift`` are the
+validating public entries to the same routines.  The witness
 search and ``root_density`` ask one question, whether f has a factor of
 degree <= k mod p (k = deg(f) // 2, and k = 1), which
 ``_gf_small_factor`` answers by distinct-degree steps that stop at the
@@ -41,6 +44,7 @@ from .polyring import (
     degree,
     discriminant,
     divmod_exact,
+    evaluate,
     is_monic,
     mul,
     normalize,
@@ -67,9 +71,14 @@ MAX_PRIME_BOUND = 10**5
 # root_density tests the unramified primes up to _BATCH_PRIME_LIMIT with one
 # product and the larger ones one at a time, unless a coefficient of f is longer
 # than _BATCH_COEFF_BITS: the product's cost grows with the length of f's values.
-# Up to these two limits the product was measured cheaper than the per-prime gcds
-# for degrees 2-12; past either, the gcds won for some degree.
-_BATCH_PRIME_LIMIT = 4096
+# Measured in process, interleaved, at degrees 2, 4, 8 and 12 with one-digit
+# coefficients: the product over the primes to 4096 took 0.19-0.25 of the time of
+# their gcds; carried on to 8192 it took 0.63-0.77 of the time of the gcds it
+# replaced, and on to 16384 1.04-1.18.  At bound 16384, a limit of 8192 took
+# 0.83-0.91 of the time of a limit of 4096, and 12288 took 0.88-0.97.  With 32-bit
+# coefficients 8192 against 4096 read 0.79-1.06; with 64-bit ones 0.96-1.36, the
+# loss at degrees 2 and 4.
+_BATCH_PRIME_LIMIT = 8192
 _BATCH_COEFF_BITS = 64
 
 
@@ -265,23 +274,27 @@ def hensel_lift(f: IntPoly, factors_mod_p: list[list[int]], p: int, k: int) -> l
                 raise ValueError("seed factors are not pairwise coprime mod p")
     if k < 1:
         raise ValueError("target exponent must be positive")
-    pk = p**k
+    return _hensel_tree(normalize(f), seeds, p, k)
 
-    def lift(target: list[int], parts: list[list[int]]) -> list[list[int]]:
-        if len(parts) == 1:
-            return [zm_reduce(target, pk)]
-        half = len(parts) // 2
-        g = [1]
-        for q in parts[:half]:
-            g = zm_mul(g, q, p)
-        h = [1]
-        for q in parts[half:]:
-            h = zm_mul(h, q, p)
-        s, t = _gf_bezout(g, h, p)
-        gl, hl = _hensel_pair(zm_reduce(target, pk), g, h, s, t, p, k)
-        return lift(gl, parts[:half]) + lift(hl, parts[half:])
 
-    return lift(normalize(f), seeds)
+def _hensel_tree(f: list[int], seeds: list[list[int]], p: int, k: int) -> list[list[int]]:
+    """``hensel_lift`` without its checks: monic seeds, pairwise coprime mod p, with product f mod p.
+
+    The seeds are split in two halves, the pair of half products is lifted
+    by ``_hensel_pair``, and each half recurses on its lifted product.
+    """
+    if len(seeds) == 1:
+        return [zm_reduce(f, p**k)]
+    half = len(seeds) // 2
+    g = [1]
+    for q in seeds[:half]:
+        g = zm_mul(g, q, p)
+    h = [1]
+    for q in seeds[half:]:
+        h = zm_mul(h, q, p)
+    s, t = _gf_bezout(g, h, p)
+    gl, hl = _hensel_pair(zm_reduce(f, p**k), g, h, s, t, p, k)
+    return _hensel_tree(gl, seeds[:half], p, k) + _hensel_tree(hl, seeds[half:], p, k)
 
 
 def _gf_bezout(g: list[int], h: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -308,30 +321,52 @@ def _symmetric(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _mignotte_bound(f: IntPoly) -> int:
-    norm = math.isqrt(sum(c * c for c in f)) + 1
-    return 2 ** len(f) * norm
-
-
 def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
     """Irreducible monic factors of a monic squarefree f over Z, given disc = disc(f) != 0.
 
     f is monic, so f mod p keeps its degree and disc(f) mod p is its
-    discriminant: f stays squarefree mod p iff p does not divide disc.
+    discriminant: f stays squarefree mod p iff p does not divide disc.  So
+    at the first such p the distinct- and equal-degree splits factor f mod
+    p with no squarefree split; their seeds are monic and pairwise coprime,
+    and ``_hensel_tree`` lifts them with no checks.  The random splits are
+    seeded as in ``factor_mod_p``, and the factors are left unsorted:
+    recombination finds the same irreducible factors in any order.
+
+    The lift goes to the least p^k > B = 2 C(d-1, (d-1)//2) (isqrt(|f|_2^2) + 1)
+    for d = deg f (Mignotte).  Every candidate g that recombination tests
+    is monic, of degree m <= d - 1 (a proper subset of the lifted factors),
+    and if it divides f then:
+
+    1. M(g) <= M(f), for the Mahler measure M(h) = |lead h| * prod max(1, |root|):
+       M is multiplicative and M(f/g) >= 1 for an integer f/g.
+    2. M(f) <= |f|_2 (Landau).
+    3. |g_j| <= C(m, j) M(g), since g_j is a signed sum of C(m, j) products
+       of m - j roots, each at most M(g) in size; and C(m, j) <= C(d - 1, (d - 1)//2).
+
+    So |g_j| <= C(d - 1, (d - 1)//2) |f|_2 < B/2 < p^k/2, and g is the
+    symmetric residue of its product of lifted factors: a true factor is
+    never missed.  The margin is not slack: one step less can leave every
+    true factor outside the symmetric range.  x^2 - 9 lifts from p = 5 to
+    k = 2, and at k = 1 its factors x -+ 3 both read x +- 2, so f would be
+    called irreducible.
     """
-    if degree(f) == 1:
+    d = degree(f)
+    if d == 1:
         return [f]
     p = next((p for p in primes_up_to(10_000) if disc % p), None)
     if p is None:
         raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
-    modular = factor_mod_p(f, p)
-    if len(modular) == 1:
+    fp = zm_reduce(f, p)
+    blocks = _gf_distinct_degree(fp, p)
+    if len(blocks) == 1 and blocks[0][1] == d:
         return [f]
-    bound = 2 * _mignotte_bound(f)
+    rng = random.Random(hash((p, *fp)) & 0x7FFFFFFF)
+    seeds = [g for block, e in blocks for g in _gf_equal_degree(block, e, p, rng)]
+    bound = 2 * math.comb(d - 1, (d - 1) // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
     k = 1
     while p**k <= bound:
         k += 1
-    lifted = hensel_lift(f, [g for g, _ in modular], p, k)
+    lifted = _hensel_tree(f, seeds, p, k)
     m = p**k
 
     remaining = list(range(len(lifted)))
@@ -427,34 +462,43 @@ def irreducibility_witness(f: IntPoly, search_bound: int) -> int | None:
 def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:
     """How many of the ascending primes p have a root of f in F_p, from one product.
 
-    Let M be the product of the primes and P the largest, and
-    R = prod_{a=0}^{P-1} f(a) mod M.  Then p | R iff f has a root in F_p:
-    p | M, so p | R iff p divides some f(a) with a < P; f(a) = f(a mod p)
-    (mod p), and a runs over every residue mod p since p <= P.  An integer
-    root r gives p | f(r mod p) for every p, so every prime is a hit, as
-    it should be (R is 0 when 0 <= r < P).
+    Let M be the product of the primes and P the largest, and R the
+    product of f(a) mod M over the P consecutive integers
+    a = -(P // 2) .. P - 1 - P // 2.  Then p | R iff f has a root in F_p:
+    p | M, so p | R iff p divides some f(a); f(a) = f(a mod p) (mod p),
+    and a runs over every residue mod p since p <= P.  An integer root r
+    gives p | f(r mod p) for every p, so every prime is a hit, as it
+    should be (R is 0 when r is in the window).
 
-    The values f(0..P-1) come from Horner steps across all a at once, and
-    their running product is reduced mod M once per block about as long
-    as M.  With log M about P, that is about P * log f(P) * P bit
+    The window is centred on 0, where the values are shortest.  They come
+    from the d + 1 forward differences of f at the window's start, d =
+    deg f, by d running sums (``itertools.accumulate``) across the window,
+    and they are multiplied in slices whose product is about as long as M,
+    each reduced mod M once.  When P < d the window runs on to d values,
+    and a slice may come out longer than M: neither changes which primes
+    divide R.  With log M about P, that is about P * log f(P) * P bit
     operations, roughly deg(f) * bound^2 * log(bound) for short
-    coefficients, done in C, against one Frobenius power per prime for
+    coefficients, all in C, against one Frobenius power per prime for
     ``_gf_small_factor``: about pi(bound) * deg(f)^2 * log(bound)
     interpreted steps.
     """
     top = primes[-1]
     modulus = math.prod(primes)
-    width = modulus.bit_length()
-    values = [f[-1]] * top
-    for c in reversed(f[:-1]):
-        values = [v * a + c for a, v in enumerate(values)]
-    product = block = 1
-    for v in values:
-        block *= v
-        if block.bit_length() > width:
-            product = product * block % modulus
-            block = 1
-    product = product * block % modulus
+    d = len(f) - 1
+    start = -(top // 2)
+    row = [evaluate(f, start + i) for i in range(d + 1)]
+    heads = []
+    for _ in range(d + 1):
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    # the d-th difference is constant; each running sum turns the k-th into the (k-1)-th
+    values = [heads.pop()] * (top - d)
+    for head in reversed(heads):
+        values = list(itertools.accumulate(values, initial=head))
+    size = max(1, modulus.bit_length() // max(abs(values[0]), abs(values[-1]), 1).bit_length())
+    product = 1
+    for i in range(0, len(values), size):
+        product = product * math.prod(values[i : i + size]) % modulus
     return sum(product % p == 0 for p in primes)
 
 

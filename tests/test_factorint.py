@@ -298,6 +298,62 @@ def test_factor_over_Z_takes_any_coefficient_size(bits):
         assert sorted(result.factors) == sorted(chosen)
 
 
+def seeded_products(rng, count):
+    """Products of witnessed irreducible factors, some repeated, degree 2-12, coefficients <= 10^6.
+
+    Each factor has a witness prime <= 1000, which proves it irreducible, so
+    the factors drawn are the unique factorization of their product.
+    """
+    out = []
+    while len(out) < count:
+        target = rng.randint(2, 12)
+        f, chosen = [1], {}
+        while degree(f) < target:
+            d = rng.randint(1, min(4, target - degree(f)))
+            g = [rng.randint(-30, 30) for _ in range(d)] + [1]
+            e = rng.choice((1, 1, 1, 2, 3))
+            if degree(f) + e * d > target:
+                e = 1
+            if tuple(g) in chosen or (d > 1 and irreducibility_witness(g, 1000) is None):
+                continue
+            for _ in range(e):
+                f = mul(f, g)
+            chosen[tuple(g)] = e
+        if max(map(abs, f)) <= 10**6:
+            out.append((f, sorted(chosen.items())))
+    return out
+
+
+def test_factor_over_Z_returns_the_factors_a_product_was_built_from():
+    products = seeded_products(random.Random(1500), 300)
+    assert {degree(f) for f, _ in products} == set(range(2, 13))
+    assert any(e > 1 for _, chosen in products for _, e in chosen)
+    for f, chosen in products:
+        result = factor_over_Z(f)
+        assert sorted(result.factors) == chosen, f
+        if degree(f) <= 4:
+            assert factorization_multiset(result) == kronecker_factor(f), f
+
+
+def test_factor_over_Z_never_takes_the_mod_p_squarefree_split(monkeypatch):
+    def no_yun(f, p):
+        raise AssertionError("_gf_squarefree_list ran")
+
+    # f is squarefree mod the Zassenhaus prime, and a repeated factor over Z is
+    # taken off by polyring.squarefree_part first
+    monkeypatch.setattr(factorint, "_gf_squarefree_list", no_yun)
+    with pytest.raises(AssertionError, match="_gf_squarefree_list ran"):
+        factor_mod_p([-1, 0, 1], 5)
+    for f, chosen in seeded_products(random.Random(33), 60):
+        assert sorted(factor_over_Z(f).factors) == chosen, f
+
+
+def test_lift_reaches_the_bound_that_keeps_every_factor():
+    # x^2 - 9 lifts from p = 5 (disc 36) to 25 > B = 2 * C(1, 0) * (isqrt(82) + 1) = 20;
+    # mod 5 its factors x -+ 3 read x +- 2, and neither divides it
+    assert factor_over_Z([-9, 0, 1]).factors == (((-3, 1), 1), ((3, 1), 1))
+
+
 def test_kronecker_oracle_sample():
     rng = random.Random(71)
     for _ in range(300):
@@ -668,18 +724,18 @@ def test_gf_small_factor_at_k1_is_a_root_search(f):
 # -- the batched root test against the per-prime Frobenius gcd ---------------
 #
 # root_density tests the primes up to _BATCH_PRIME_LIMIT with one product and
-# each larger prime with gcd(f, x^p - x); 4093 and 4099 are the primes on either
+# each larger prime with gcd(f, x^p - x); 8191 and 8209 are the primes on either
 # side of the limit.
 
-DENSITY_BOUNDS = (100, 4093, 4099, 10_000)
+DENSITY_BOUNDS = (100, 8191, 8209, 10_000)
 
 
 def batched_density_pool():
     """Monic polynomials of degree 0-12, with x, integer roots, a repeated factor and long coefficients.
 
-    The root -1 of x + 1 is the residue p - 1, the last value the product
-    takes.  A 64-bit coefficient still takes the product route, a 65-bit one
-    sends every prime to the gcd.
+    The roots -1 of x + 1 and -7 of (x + 7) g lie inside the product's
+    window.  A 64-bit coefficient still takes the product route, a 65-bit
+    one sends every prime to the gcd.
     """
     rng = random.Random(4096)
     pool = [random_monic(rng, deg) for deg in range(13)]
@@ -703,7 +759,7 @@ def test_batched_root_density_matches_per_prime_gcd(f):
 
 
 def test_batched_density_pool_reaches_every_case():
-    assert 4093 < _BATCH_PRIME_LIMIT < 4099
+    assert 8191 < _BATCH_PRIME_LIMIT < 8209
     pool = batched_density_pool()
     assert {degree(f) for f in pool} == set(range(13))
     assert [0, 1] in pool
@@ -711,6 +767,65 @@ def test_batched_density_pool_reaches_every_case():
     assert any(discriminant(f) == 0 for f in pool)
     widths = {max(abs(c) for c in f).bit_length() for f in pool}
     assert _BATCH_COEFF_BITS in widths and _BATCH_COEFF_BITS + 1 in widths
+
+
+def root_hits_pool():
+    """Polynomials of degree 0-12 with coefficients up to 2^64, and the window cases of the product.
+
+    At bound B the product's window is -(P // 2) .. P - 1 - P // 2 for the
+    largest prime P <= B: -48 .. 48 at 100, -498 .. 498 at 1000 and
+    -2046 .. 2046 at 4093.  Each end e of each window is the only root mod
+    P of one (x - e) h, so a window one value short at either end misses
+    a hit; for the smaller bounds the same roots lie outside the window.
+    5 is a root inside every window, 5000 and -2^40 outside all.
+    x^2 - (2^60 - 1) and x^4 - (2^60 - 1) take their largest |f(a)| at
+    a = 0, inside the window, not at an end.
+    """
+    rng = random.Random(2**64)
+
+    def cofactor(top):
+        while True:
+            h = [rng.randrange(-(2**20), 2**20 + 1) for _ in range(rng.randrange(1, 12))] + [1]
+            if top is None or all(evaluate(h, a) % top for a in range(top)):
+                return h
+
+    pool = [[rng.randrange(-(2**64), 2**64 + 1) for _ in range(deg)] + [rng.randrange(1, 2**64 + 1)] for deg in range(13)]
+    for top in (97, 997, 4093):
+        for end in (-(top // 2), top - 1 - top // 2):
+            pool.append(mul([-end, 1], cofactor(top)))
+    for root in (5, 5000, -(2**40)):
+        pool.append(mul([-root, 1], cofactor(None)))
+    pool += [[-(2**60 - 1), 0, 1], [-(2**60 - 1), 0, 0, 0, 1]]
+    return [normalize(f) for f in pool]
+
+
+def test_batched_root_hits_matches_a_root_search():
+    primes = primes_up_to(4093)
+    for f in root_hits_pool():
+        values = [evaluate(f, a) for a in range(primes[-1])]
+        # brute force: some a < p with p | f(a)
+        hit = [p for p in primes if any(v % p == 0 for v in values[:p])]
+        for bound in (100, 1000, 4093):
+            counted = primes_up_to(bound)
+            assert factorint._batched_root_hits(f, counted) == len([p for p in hit if p <= bound]), (f, bound)
+
+
+def test_root_hits_pool_reaches_every_window_case():
+    pool = root_hits_pool()
+    assert {degree(f) for f in pool} == set(range(13))
+    assert max(abs(c) for f in pool for c in f) <= 2**64
+    for bound in (100, 1000, 4093):
+        top = primes_up_to(bound)[-1]
+        window = range(-(top // 2), top - top // 2)
+        assert len(window) == top
+        for end in (window[0], window[-1]):
+            # the end is the only root of some f mod the largest prime
+            assert any(evaluate(f, end) == 0 and sum(evaluate(f, a) % top == 0 for a in window) == 1 for f in pool)
+        for f in pool[-2:]:
+            sizes = [abs(evaluate(f, a)) for a in window]
+            assert max(sizes) > max(sizes[0], sizes[-1])
+    for root in (5, 5000, -(2**40)):
+        assert any(evaluate(f, root) == 0 for f in pool)
 
 
 @pytest.mark.parametrize("D", [-1, 2, 3, -3, 5, 12, -163, 1001])

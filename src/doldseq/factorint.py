@@ -77,8 +77,10 @@ MAX_PRIME_BOUND = 10**5
 # replaced, and on to 16384 1.04-1.18.  At bound 16384, a limit of 8192 took
 # 0.83-0.91 of the time of a limit of 4096, and 12288 took 0.88-0.97.  With 32-bit
 # coefficients 8192 against 4096 read 0.79-1.06; with 64-bit ones 0.96-1.36, the
-# loss at degrees 2 and 4.
-_BATCH_PRIME_LIMIT = 8192
+# loss at degrees 2 and 4.  The limit stays at 4096: a higher one trades short
+# coefficients against long ones, and no benchmark workload runs a bound above
+# 1000 to say which the requests carry.
+_BATCH_PRIME_LIMIT = 4096
 _BATCH_COEFF_BITS = 64
 
 
@@ -205,24 +207,29 @@ def _gf_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[l
             return _gf_equal_degree(g, d, p, rng) + _gf_equal_degree(h, d, p, rng)
 
 
+def _gf_split(f: list[int], p: int) -> list[list[int]]:
+    """Monic irreducible factors over F_p of monic f, squarefree there, unsorted.
+
+    The distinct-degree split groups them by degree and the equal-degree
+    splits take each group apart, drawing from a generator seeded from p
+    and f, so the order is the same on every run.
+    """
+    rng = random.Random(hash((p, *f)) & 0x7FFFFFFF)
+    return [irr for block, d in _gf_distinct_degree(f, p) for irr in _gf_equal_degree(block, d, p, rng)]
+
+
 def factor_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Complete factorization of f over F_p, for p prime, into monic irreducibles.
 
     Output is sorted canonically (degree, then coefficients) regardless of
-    the internal randomness, which is seeded from p and the reduced
-    coefficients.
+    the internal randomness, which is seeded from p and each squarefree part.
     """
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     f = zm_reduce(f, p)
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(hash((p, *f)) & 0x7FFFFFFF)
-    out: list[tuple[list[int], int]] = []
-    for sqf, mult in _gf_squarefree_list(zm_monic(f, p), p):
-        for block, d in _gf_distinct_degree(sqf, p):
-            for irr in _gf_equal_degree(block, d, p, rng):
-                out.append((irr, mult))
+    out = [(irr, mult) for sqf, mult in _gf_squarefree_list(zm_monic(f, p), p) for irr in _gf_split(sqf, p)]
     out.sort(key=lambda t: _sort_key(t[0]))
     return out
 
@@ -327,10 +334,10 @@ def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
     f is monic, so f mod p keeps its degree and disc(f) mod p is its
     discriminant: f stays squarefree mod p iff p does not divide disc.  So
     at the first such p the distinct- and equal-degree splits factor f mod
-    p with no squarefree split; their seeds are monic and pairwise coprime,
-    and ``_hensel_tree`` lifts them with no checks.  The random splits are
-    seeded as in ``factor_mod_p``, and the factors are left unsorted:
-    recombination finds the same irreducible factors in any order.
+    p with no squarefree split (``_gf_split``); their seeds are monic and
+    pairwise coprime, and ``_hensel_tree`` lifts them with no checks.  The
+    factors are left unsorted: recombination finds the same irreducible
+    factors in any order.
 
     The lift goes to the least p^k > B = 2 C(d-1, (d-1)//2) (isqrt(|f|_2^2) + 1)
     for d = deg f (Mignotte).  Every candidate g that recombination tests
@@ -356,12 +363,11 @@ def _factor_squarefree_over_Z(f: IntPoly, disc: int) -> list[IntPoly]:
     p = next((p for p in primes_up_to(10_000) if disc % p), None)
     if p is None:
         raise UnsupportedSizeError("no squarefree-preserving prime below 10000")
-    fp = zm_reduce(f, p)
-    blocks = _gf_distinct_degree(fp, p)
-    if len(blocks) == 1 and blocks[0][1] == d:
+    seeds = _gf_split(zm_reduce(f, p), p)
+    # irreducible mod p, so over Z; the lift and recombination would return f too,
+    # at 1.1x the time on irreducible inputs of degree 3-8
+    if len(seeds) == 1:
         return [f]
-    rng = random.Random(hash((p, *fp)) & 0x7FFFFFFF)
-    seeds = [g for block, e in blocks for g in _gf_equal_degree(block, e, p, rng)]
     bound = 2 * math.comb(d - 1, (d - 1) // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
     k = 1
     while p**k <= bound:
@@ -473,14 +479,16 @@ def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:
     The window is centred on 0, where the values are shortest.  They come
     from the d + 1 forward differences of f at the window's start, d =
     deg f, by d running sums (``itertools.accumulate``) across the window,
-    and they are multiplied in slices whose product is about as long as M,
-    each reduced mod M once.  When P < d the window runs on to d values,
-    and a slice may come out longer than M: neither changes which primes
-    divide R.  With log M about P, that is about P * log f(P) * P bit
-    operations, roughly deg(f) * bound^2 * log(bound) for short
-    coefficients, all in C, against one Frobenius power per prime for
-    ``_gf_small_factor``: about pi(bound) * deg(f)^2 * log(bound)
-    interpreted steps.
+    and they are multiplied in slices, each reduced mod M once.  A slice
+    holds as many values as M has bits per bit of a bound on every |f(a)|
+    in the window, f's absolute coefficients at its farther end, so no
+    slice is much longer than M wherever f's largest values lie.  When
+    P < d the window runs on to d values, and a value longer than M makes
+    a slice of its own: neither changes which primes divide R.  With log M
+    about P, that is about P * log f(P) * P bit operations, roughly deg(f)
+    * bound^2 * log(bound) for short coefficients, all in C, against one
+    Frobenius power per prime for ``_gf_small_factor``: about pi(bound) *
+    deg(f)^2 * log(bound) interpreted steps.
     """
     top = primes[-1]
     modulus = math.prod(primes)
@@ -495,7 +503,9 @@ def _batched_root_hits(f: IntPoly, primes: list[int]) -> int:
     values = [heads.pop()] * (top - d)
     for head in reversed(heads):
         values = list(itertools.accumulate(values, initial=head))
-    size = max(1, modulus.bit_length() // max(abs(values[0]), abs(values[-1]), 1).bit_length())
+    # |f(a)| <= sum |c_i| * |a|^i over the window, however the values cancel
+    bits = evaluate([abs(c) for c in f], max(-start, start + len(values) - 1)).bit_length()
+    size = max(1, modulus.bit_length() // max(bits, 1))
     product = 1
     for i in range(0, len(values), size):
         product = product * math.prod(values[i : i + size]) % modulus

@@ -724,10 +724,10 @@ def test_gf_small_factor_at_k1_is_a_root_search(f):
 # -- the batched root test against the per-prime Frobenius gcd ---------------
 #
 # root_density tests the primes up to _BATCH_PRIME_LIMIT with one product and
-# each larger prime with gcd(f, x^p - x); 8191 and 8209 are the primes on either
+# each larger prime with gcd(f, x^p - x); 4093 and 4099 are the primes on either
 # side of the limit.
 
-DENSITY_BOUNDS = (100, 8191, 8209, 10_000)
+DENSITY_BOUNDS = (100, 4093, 4099, 10_000)
 
 
 def batched_density_pool():
@@ -759,7 +759,7 @@ def test_batched_root_density_matches_per_prime_gcd(f):
 
 
 def test_batched_density_pool_reaches_every_case():
-    assert 8191 < _BATCH_PRIME_LIMIT < 8209
+    assert 4093 < _BATCH_PRIME_LIMIT < 4099
     pool = batched_density_pool()
     assert {degree(f) for f in pool} == set(range(13))
     assert [0, 1] in pool
@@ -826,6 +826,30 @@ def test_root_hits_pool_reaches_every_window_case():
             assert max(sizes) > max(sizes[0], sizes[-1])
     for root in (5, 5000, -(2**40)):
         assert any(evaluate(f, root) == 0 for f in pool)
+
+
+def test_batched_root_hits_slices_stay_about_as_long_as_the_modulus(monkeypatch):
+    # f is 1 at both ends of the window at 4093 and about 2^200 inside it: slices
+    # sized from the end values would multiply all 4093 values in one product
+    primes = primes_up_to(4093)
+    top = primes[-1]
+    lo, hi = -(top // 2), top - 1 - top // 2
+    rng = random.Random(4093)
+    h = [rng.randrange(-(2**64), 2**64 + 1) for _ in range(10)] + [1]
+    f = mul(mul([-lo, 1], [-hi, 1]), h)
+    f[0] += 1
+    assert evaluate(f, lo) == evaluate(f, hi) == 1 and evaluate(f, 0).bit_length() > 60
+    lengths = []
+
+    def prod(values):
+        out = math.prod(values)
+        lengths.append(out.bit_length())
+        return out
+
+    monkeypatch.setattr(factorint, "math", type("math", (), {"prod": staticmethod(prod)}))
+    factorint._batched_root_hits(f, primes)
+    # the first product is the modulus
+    assert max(lengths[1:]) <= 2 * lengths[0]
 
 
 @pytest.mark.parametrize("D", [-1, 2, 3, -3, 5, 12, -163, 1001])
